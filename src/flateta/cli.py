@@ -224,8 +224,10 @@ def _cmd_obstruct(args, out, err) -> int:
 
 
 def _cmd_dedekind(args, out, err) -> int:
-    saw = dedekind_sawtooth(args.beta, args.alpha)
+    # The cotangent route first: it refuses alpha above its ceiling before
+    # the O(alpha) sawtooth would run.
     cot = dedekind_cot(args.beta, args.alpha)
+    saw = dedekind_sawtooth(args.beta, args.alpha)
     if args.json:
         _emit_json(
             {

@@ -9,14 +9,33 @@ so rationality certification is a syntactic check.
 
 Coefficients are exact rationals throughout; nothing in this module
 rounds.  The main consumer is :mod:`flateta.dedekind`, which needs exact
-values of cot(k*pi/n).
+values of cot(k*pi/n).  Its hot path never touches a Fraction; it runs on
+plain integers in three steps:
+
+* **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
+  handful of nonzero terms (5 at N = 400, degree 160), and the division
+  mod Phi_N loops over those alone.  Phi_N itself is built by the same
+  division, from two-term factors x^d - 1.
+* **Integer cotangents.**  ``_cot_reduced`` gives cot(r*pi/n) as an integer
+  remainder mod Phi_M plus its denominator m, cached once; ``cot_exact``
+  wraps that pair in an element.
+* **Packed convolution (Kronecker substitution).**  An integer vector is
+  packed into one int, ``sum v[i] * 2^(bits*i)``, so a polynomial product
+  is one big-int multiplication.  The slot width is exact, not heuristic:
+  when every coefficient of the (summed) product has absolute value at
+  most B and ``B < 2^(bits-1)``, each slot holds its balanced digit in
+  (-2^(bits-1), 2^(bits-1)) without carrying into the next, so the digits
+  read back are exactly the coefficients; anything left above the top
+  slot would mean the bound was broken and is an internal error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
+from operator import neg
 
 from .errors import CertificationError, DomainError, PoleError
 
@@ -52,18 +71,22 @@ def _divmod_monic_int(num: list[int], den: list[int]) -> tuple[list[int], list[i
     """Quotient and remainder of integer polynomials; den must be monic.
 
     Monic divisor keeps everything in the integers, no fractions appear.
+    Each quotient step touches only the nonzero terms of den, which is
+    what makes reduction mod Phi_N cheap: Phi_N has a handful of them.
     """
     num = list(num)
     dd = len(den) - 1
     if len(num) <= dd:
         return [], _trim(num)
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
     quot = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
+            base = i - dd
+            quot[base] = c
+            for j, d in terms:
+                num[base + j] -= c * d
     return _trim(quot), _trim(num[:dd])
 
 
@@ -71,30 +94,100 @@ def _divmod_monic_int(num: list[int], den: list[int]) -> tuple[list[int], list[i
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """The cyclotomic polynomial Phi_N as an ascending coefficient tuple.
 
-    Computed by dividing x^N - 1 by the product of Phi_d over the proper
-    divisors d of N; every division is exact.
+    With r = rad(N), Phi_N(x) = Phi_r(x^(N/r)) and Phi_r is the product of
+    (x^d - 1)^mu(r/d) over the divisors d of r: multiply out the factors
+    with mu = +1, then divide exactly by the two-term x^d - 1 of the rest.
 
     >>> cyclotomic_polynomial(12)
     (1, 0, -1, 0, 1)
     """
     if order < 1:
         raise DomainError("cyclotomic polynomial order must be >= 1")
-    poly = [-1] + [0] * (order - 1) + [1]  # x^N - 1
-    for d in range(1, order):
-        if order % d == 0:
-            poly, rem = _divmod_monic_int(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise AssertionError(f"inexact division building Phi_{order}")
-    return tuple(poly)
+    primes, rest, p = [], order, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    squarefree = [(1, 1)]  # (e, mu(e)) for every e dividing rad(N)
+    for p in primes:
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    rad = squarefree[-1][0]
+    poly, divisors = [1], []
+    for e, mu in squarefree:
+        if mu < 0:
+            divisors.append(rad // e)
+        else:  # poly *= x^d - 1
+            d = rad // e
+            poly = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly[: len(poly) - d]):
+                poly[i + d] -= c
+    for d in divisors:
+        poly, rem = _divmod_monic_int(poly, [-1] + [0] * (d - 1) + [1])
+        if rem:
+            raise AssertionError(f"inexact division building Phi_{order}")
+    step = order // rad
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
-    """Reduce an integer polynomial modulo Phi_order (any input degree;
-    callers fold exponents mod order first only to keep the division
-    small)."""
-    phi = list(cyclotomic_polynomial(order))
-    _, rem = _divmod_monic_int(vec, phi)
+    """Reduce an integer polynomial of any degree modulo Phi_order."""
+    _, rem = _divmod_monic_int(vec, list(cyclotomic_polynomial(order)))
     return rem
+
+
+# ---------------------------------------------------------------------------
+# packed integer convolution (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+
+def _slot_bits(bound: int) -> int:
+    """Slot width, in whole bytes, for packed vectors whose product sums
+    have every coefficient of absolute value at most ``bound``: a slot
+    holds any value in (-2^(bits-1), 2^(bits-1)), so no slot carries."""
+    return ((bound.bit_length() + 1 + 7) // 8) * 8
+
+
+def _bias(slots: int, bits: int) -> int:
+    """2^(bits-1) in every one of ``slots`` slots."""
+    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(vec, bits: int) -> int:
+    """The integer sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1):
+    each entry is written biased into its own bytes, then the bias is
+    taken off again (negative entries borrow from the slot above)."""
+    half = 1 << (bits - 1)
+    raw = b"".join(map(int.to_bytes, map(half.__add__, vec),
+                       repeat(bits // 8), repeat("little")))
+    return int.from_bytes(raw, "little") - _bias(len(vec), bits)
+
+
+def _unpack(packed: int, slots: int, bits: int) -> list[int]:
+    """Balanced digits of a packed value, lowest slot first.
+
+    Adding 2^(bits-1) to every slot makes each digit non-negative, so the
+    digits are plain bytes; anything left above the top slot means a slot
+    overflowed, which the slot width rules out.
+    """
+    width = bits // 8
+    biased = packed + _bias(slots, bits)
+    if biased < 0 or biased >> (slots * bits):
+        raise RuntimeError("internal error: packed convolution overflowed its slots")
+    raw = biased.to_bytes(slots * width, "little")
+    half = 1 << (bits - 1)
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, slots * width, width)]
+
+
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    """The integer convolution of a and b by one big-int multiplication."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bits = _slot_bits(max(top_a, top_b, min(len(a), len(b)) * top_a * top_b))
+    return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits)
 
 
 # Fraction-coefficient division and extended gcd, used for inversion.
@@ -270,8 +363,7 @@ class CyclotomicElement:
         b = other.promoted(order)
         an, ad = _cleared(a.coefficients)
         bn, bd = _cleared(b.coefficients)
-        prod = _conv_fold(an, bn, order)
-        rem = _reduce_int_mod_phi(prod, order)
+        rem = _reduce_int_mod_phi(_int_product(an, bn), order)
         den = ad * bd
         return _from_int_remainder(order, rem, den)
 
@@ -355,22 +447,12 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     return [int(c * den) for c in coeffs], den
 
 
-def _conv_fold(a: list[int], b: list[int], order: int) -> list[int]:
-    """Integer convolution of a and b with exponents folded mod order."""
-    out = [0] * order
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % order] += ai * bj
-    return out
-
-
 def _padded_fractions(order: int, rem: list[int], den: int) -> list[Fraction]:
     degree = len(cyclotomic_polynomial(order)) - 1
     out = [Fraction(0)] * degree
     for i, c in enumerate(rem):
-        out[i] = Fraction(c, den)
+        if c:  # most coefficients of a cotangent are zero
+            out[i] = Fraction(c, den)
     return out
 
 
@@ -415,26 +497,34 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise DomainError("cotangent denominator n must be >= 1")
     if k % n == 0:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
-    return _cot_reduced(k % n, n)
+    rem, m = _cot_reduced(k % n, n)
+    return _from_int_remainder(lcm(4, 2 * n), list(rem), m)
 
 
 @lru_cache(maxsize=None)
-def _cot_reduced(r: int, n: int) -> CyclotomicElement:
-    # 1 <= r < n.  With z = e^(i*r*pi/n) and w = z^2 = zeta_M^t:
-    #   cot(r*pi/n) = i*(z + 1/z)/(z - 1/z) = i*(w + 1)/(w - 1)
-    # and 1/(w - 1) = (1/m) * sum_{j=1}^{m-1} j*w^j for w a primitive m-th
-    # root of unity, which avoids a costly polynomial gcd per cotangent.
+def _cot_reduced(r: int, n: int) -> tuple[tuple[int, ...], int]:
+    """cot(r*pi/n) = rem(zeta_M) / m for 1 <= r < n, M = lcm(4, 2n): the
+    integer remainder rem, padded to deg(Phi_M) entries, and m."""
+    if 2 * r > n:  # cot(pi - x) = -cot(x)
+        rem, m = _cot_reduced(n - r, n)
+        return tuple(map(neg, rem)), m
+    # With w = e^(2i*r*pi/n) = zeta_M^t, a primitive m-th root of unity,
+    #   cot(r*pi/n) = i*(w + 1)/(w - 1)  and  1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
+    # so m*cot = i*((m - 1) + sum_{j=1}^{m-1} (2j - 1)*w^j), with i = zeta_M^(M/4);
+    # this avoids a polynomial gcd per cotangent.
     order = lcm(4, 2 * n)
     t = (r * (order // n)) % order
     m = order // gcd(order, t)
-    vec = [0] * order
+    # zeta_M^(M/2) = -1 folds every exponent below M/2 before the division.
+    quarter, half = order // 4, order // 2
+    vec = [0] * half
+    vec[quarter] = m - 1
     for j in range(1, m):
-        vec[t * j % order] += j
-    shift = order // 4  # multiply by i = zeta_M^(M/4)
-    out = [0] * order
-    for e, c in enumerate(vec):
-        if c:
-            out[(e + shift) % order] += c
-            out[(e + shift + t) % order] += c
-    rem = _reduce_int_mod_phi(out, order)
-    return _from_int_remainder(order, rem, m)
+        e = (quarter + t * j) % order
+        if e < half:
+            vec[e] += 2 * j - 1
+        else:
+            vec[e - half] -= 2 * j - 1
+    rem = _reduce_int_mod_phi(vec, order)
+    degree = len(cyclotomic_polynomial(order)) - 1
+    return tuple(rem) + (0,) * (degree - len(rem)), m

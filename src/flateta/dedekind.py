@@ -12,6 +12,18 @@ and ``dedekind_cot`` is the cotangent form
 evaluated exactly in a cyclotomic field.  The two must agree on every
 coprime pair; the sawtooth route is deliberately kept free of any shared
 machinery so it can serve as an oracle for the cotangent route.
+
+The cotangent route runs on integers (see :mod:`flateta.cyclotomic`).
+``_cot_table`` holds cot(k*pi/alpha) for every k as integer vectors in
+Q(zeta_M), M = lcm(4, 2*alpha), over one shared denominator, each packed
+into one int.  With D the largest |coefficient| of the table and deg =
+deg Phi_M, a coefficient of the sum in ``_cot_sum`` is a sum of at most
+alpha/2 pairs of rows times deg products, so its absolute value is at
+most (alpha//2 + 1) * deg * D^2; the slot width is chosen with that bound
+below 2^(bits-1), so the alpha/2 big-int multiply-adds never carry
+between slots.  The sum is unpacked once, reduced once mod Phi_M and
+certified rational before it is returned.  The route is refused above
+``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
@@ -20,7 +32,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import _from_int_remainder, _reduce_int_mod_phi, cot_exact
+from .cyclotomic import (
+    _cot_reduced,
+    _from_int_remainder,
+    _pack,
+    _reduce_int_mod_phi,
+    _slot_bits,
+    _unpack,
+    cyclotomic_polynomial,
+)
 from .errors import CertificationError, DomainError
 
 
@@ -46,6 +66,12 @@ def _check_pair(beta: int, alpha: int) -> None:
         )
 
 
+# Largest alpha the cotangent route accepts.  Its cost follows deg Phi_M,
+# which peaks at prime alpha (deg = 2*(alpha - 1)): a cold alpha = 997 takes
+# about 2 s, alpha = 2000 about 4 s (README has the table).
+COT_ALPHA_MAX = 1000
+
+
 def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
     """Dedekind sum by direct summation of sawtooth products.
 
@@ -64,10 +90,17 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
 
     The summand has period alpha in beta and the k and alpha-k terms are
     equal (both cotangent factors flip sign), which the implementation
-    exploits; the arithmetic itself is entirely cot_exact products whose
-    total is certified rational before being returned.
+    exploits; the arithmetic itself is exact integer products of the
+    cotangents' coefficient vectors, whose total is certified rational
+    before being returned.  alpha above
+    COT_ALPHA_MAX is refused with DomainError rather than left to run.
     """
     _check_pair(beta, alpha)
+    if alpha > COT_ALPHA_MAX:
+        raise DomainError(
+            f"alpha = {alpha} is above {COT_ALPHA_MAX}, the largest alpha "
+            "the cyclotomic Dedekind route accepts"
+        )
     if alpha == 1:
         return Fraction(0)
     return _cot_sum(beta % alpha, alpha)
@@ -75,21 +108,17 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    order, den, table = _cot_table(alpha)
-    width = len(table[1])
-    acc = [0] * (2 * width - 1)
+    order, den, bits, rows = _cot_table(alpha)
     # Pair k with alpha-k: equal terms, so sum halves and doubles at the
     # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
+    packed = 0
     for k in range(1, (alpha + 1) // 2):
-        left = table[k * beta % alpha]
-        right = table[k]
-        for i, x in enumerate(left):
-            if x:
-                for j, y in enumerate(right):
-                    if y:
-                        acc[i + j] += x * y
-    # One reduction for the whole sum instead of one per product.
-    rem = _reduce_int_mod_phi(acc, order)
+        packed += rows[k * beta % alpha] * rows[k]
+    degree = len(cyclotomic_polynomial(order)) - 1
+    # One unpacking and one reduction for the whole sum.  The product has
+    # degree 2*deg - 2 < M (deg Phi_M <= M/2 for 4 | M), so no exponent
+    # needs folding mod M before the reduction.
+    rem = _reduce_int_mod_phi(_unpack(packed, 2 * degree - 1, bits), order)
     total = _from_int_remainder(order, [2 * c for c in rem], den * den)
     try:
         rational = total.to_rational()
@@ -102,16 +131,21 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, tuple]:
-    """Integer-cleared coefficient vectors of cot(k*pi/alpha), k = 1..alpha-1,
-    all at the common order lcm(4, 2*alpha) and over one shared denominator."""
+def _cot_table(alpha: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
+    as integer vectors over one shared denominator, each packed into one
+    int at a slot width that no sum in ``_cot_sum`` can carry out of.
+
+    Returns (M, denominator, slot bits, rows) with rows 1-indexed.
+    """
     order = lcm(4, 2 * alpha)
-    cots = [cot_exact(k, alpha).promoted(order) for k in range(1, alpha)]
-    den = 1
-    for elem in cots:
-        for c in elem.coefficients:
-            den = lcm(den, c.denominator)
-    table = [()]  # 1-indexed
-    for elem in cots:
-        table.append(tuple(int(c * den) for c in elem.coefficients))
-    return order, den, tuple(table)
+    # cot(pi - x) = -cot(x): compute k <= alpha/2, negate the packed rest.
+    cots = [_cot_reduced(k, alpha) for k in range(1, alpha // 2 + 1)]
+    den = lcm(*(m for _, m in cots))
+    vectors = [[c * (den // m) for c in rem] for rem, m in cots]
+    top = max(max(map(abs, vec)) for vec in vectors)
+    # A slot of the sum in _cot_sum adds at most alpha//2 pairs of rows,
+    # each contributing at most deg products of two coefficients.
+    bits = _slot_bits((alpha // 2 + 1) * len(vectors[0]) * top * top)
+    rows = [_pack(vec, bits) for vec in vectors]
+    return order, den, bits, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

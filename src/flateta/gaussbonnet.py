@@ -30,7 +30,13 @@ class VolumeValue:
 
 
 def _render(coefficient: Fraction) -> str:
-    return f"{float(coefficient) * math.pi ** 2:.{_RENDER_DIGITS}g}"
+    try:
+        value = float(coefficient) * math.pi ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("chi is too large: its volume (4*pi^2/3)*chi overflows a float")
+    return f"{value:.{_RENDER_DIGITS}g}"
 
 
 def volume_from_chi(chi: int) -> VolumeValue:
@@ -59,6 +65,10 @@ def chi_from_volume(volume, tolerance=1e-6) -> int:
     """
     vol = float(volume)
     tol = float(tolerance)
+    if not math.isfinite(vol):
+        raise DomainError(f"volume must be finite, got {vol}")
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, got {tol}")
     if vol <= 0:
         raise DomainError(f"volume must be positive, got {vol}")
     if tol <= 0:

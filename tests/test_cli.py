@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,6 +183,15 @@ class TestDedekindCommand:
         assert code == 2
         assert "coprime" in err
 
+    @pytest.mark.parametrize("alpha", ["5000", "1000000000"])
+    def test_alpha_above_ceiling_is_refused_at_once(self, alpha):
+        start = time.perf_counter()
+        code, out, err = invoke("dedekind", "1", alpha)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestCatalogCommand:
     def test_lists_all_six(self):
@@ -230,6 +240,22 @@ class TestGaussBonnetCommand:
     def test_nonpositive_chi_is_domain_error(self):
         code, out, err = invoke("gauss-bonnet", "--chi", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--volume", "nan"),
+            ("--volume", "inf"),
+            ("--volume", "13.1594725348", "--tol", "nan"),
+            ("--volume", "13.1594725348", "--tol", "inf"),
+            ("--chi", "1" + "0" * 400),
+        ],
+    )
+    def test_non_finite_or_overflowing_input_is_domain_error(self, argv):
+        code, out, err = invoke("gauss-bonnet", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     def test_chi_and_volume_conflict(self):
         code, out, err = invoke("gauss-bonnet", "--chi", "1", "--volume", "13.0")

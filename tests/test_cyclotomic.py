@@ -18,6 +18,7 @@ from flateta import (
     rational_normalize,
     root_of_unity,
 )
+from flateta.cyclotomic import _int_product, _pack, _slot_bits, _unpack
 
 from helpers import embed_complex
 
@@ -85,6 +86,72 @@ class TestCyclotomicPolynomial:
     def test_invalid_order(self):
         with pytest.raises(DomainError):
             cyclotomic_polynomial(0)
+
+
+def _summed_products(pairs, length):
+    # the schoolbook oracle for a sum of packed products
+    out = [0] * (2 * length - 1)
+    for a, b in pairs:
+        for i, c in enumerate(_poly_mul(a, b)):
+            out[i] += c
+    return out
+
+
+@st.composite
+def _vector_pairs(draw, extreme=False):
+    """(length, top, pairs): equal-length signed vectors with entries of
+    absolute value at most top; with extreme, every entry is +-top."""
+    length = draw(st.integers(1, 12))
+    top = draw(st.integers(0, 2**80))
+    entry = st.sampled_from((-top, top)) if extreme else st.integers(-top, top)
+    vector = st.lists(entry, min_size=length, max_size=length)
+    pairs = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=6))
+    return length, top, pairs
+
+
+class TestPackedConvolution:
+    @staticmethod
+    def _packed_sum(length, top, pairs):
+        bits = _slot_bits(len(pairs) * length * top * top)
+        total = sum(_pack(a, bits) * _pack(b, bits) for a, b in pairs)
+        return _unpack(total, 2 * length - 1, bits)
+
+    @given(case=_vector_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_of_products_matches_schoolbook(self, case):
+        length, top, pairs = case
+        assert self._packed_sum(length, top, pairs) == _summed_products(pairs, length)
+
+    @given(case=_vector_pairs(extreme=True))
+    @settings(max_examples=150, deadline=None)
+    def test_every_slot_at_full_magnitude(self, case):
+        length, top, pairs = case
+        assert self._packed_sum(length, top, pairs) == _summed_products(pairs, length)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("length, count, top", [(1, 1, 1), (5, 3, 127), (9, 4, 2**40 - 1)])
+    def test_bound_is_reached_without_carry(self, sign, length, count, top):
+        # all entries equal: the middle slot is exactly count * length * top^2
+        pairs = [([top] * length, [sign * top] * length)] * count
+        result = self._packed_sum(length, top, pairs)
+        assert result[length - 1] == sign * count * length * top * top
+        assert result == _summed_products(pairs, length)
+
+    @given(
+        a=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
+        b=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_int_product_matches_schoolbook(self, a, b):
+        assert _int_product(a, b) == _poly_mul(a, b)
+
+    def test_int_product_with_zero_vector(self):
+        assert _int_product([10**30, -5], [0, 0, 0]) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("excess", [1 << 24, -(1 << 24)])
+    def test_overflow_past_the_top_slot_is_an_internal_error(self, excess):
+        with pytest.raises(RuntimeError, match="internal error"):
+            _unpack(excess, 3, 8)
 
 
 class TestRootsOfUnity:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flateta import DomainError, dedekind_cot, dedekind_sawtooth, sawtooth
+from flateta import (
+    DomainError,
+    cyclotomic,
+    dedekind,
+    dedekind_cot,
+    dedekind_sawtooth,
+    sawtooth,
+)
+from flateta.dedekind import COT_ALPHA_MAX
 
 
 def coprime_pairs(max_alpha, include_negative=True):
@@ -15,6 +23,13 @@ def coprime_pairs(max_alpha, include_negative=True):
         for beta in range(-alpha if include_negative else 1, alpha + 1):
             if gcd(beta, alpha) == 1:
                 yield beta, alpha
+
+
+@st.composite
+def _coprime_pair(draw, max_alpha):
+    alpha = draw(st.integers(1, max_alpha))
+    residue = draw(st.sampled_from([r for r in range(alpha) if gcd(r, alpha) == 1]))
+    return residue + alpha * draw(st.integers(-3, 3)), alpha
 
 
 class TestSawtooth:
@@ -85,6 +100,41 @@ class TestCotangentSum:
                 beta,
                 alpha,
             )
+
+    @given(pair=_coprime_pair(max_alpha=400))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_sawtooth_oracle_on_random_pairs(self, pair):
+        beta, alpha = pair
+        assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha)
+
+    def test_refuses_alpha_above_ceiling(self):
+        with pytest.raises(DomainError, match=str(COT_ALPHA_MAX)):
+            dedekind_cot(1, COT_ALPHA_MAX + 1)
+        with pytest.raises(DomainError):
+            dedekind_cot(1, 10**9)
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (cyclotomic, {"cyclotomic_polynomial", "_cot_reduced"}),
+        (dedekind, {"_cot_sum", "_cot_table"}),
+    ],
+    ids=["cyclotomic", "dedekind"],
+)
+def test_module_caches_clear_and_report(module, names):
+    caches = {
+        name: obj
+        for name, obj in vars(module).items()
+        if hasattr(obj, "__wrapped__") and obj.__module__ == module.__name__
+    }
+    assert set(caches) == names
+    dedekind_cot(5, 24)
+    for fn in caches.values():
+        assert fn.cache_info().currsize > 0
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
+    assert dedekind_cot(5, 24) == dedekind_sawtooth(5, 24)
 
 
 class TestIdentities:

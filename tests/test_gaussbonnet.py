@@ -39,6 +39,11 @@ class TestVolumeFromChi:
         exact = float(value.coefficient) * math.pi**2
         assert math.isclose(float(value.approx), exact, rel_tol=1e-11)
 
+    @pytest.mark.parametrize("chi", [10**308, 10**400])
+    def test_float_overflow_is_domain_error(self, chi):
+        with pytest.raises(DomainError, match="too large"):
+            volume_from_chi(chi)
+
     def test_strictly_increasing(self):
         coefficients = [volume_from_chi(chi).coefficient for chi in range(1, 500)]
         assert all(a < b for a, b in zip(coefficients, coefficients[1:]))
@@ -71,6 +76,16 @@ class TestChiFromVolume:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(DomainError):
             chi_from_volume(13.0, 0.0)
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, -math.inf, "nan", "inf"])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(DomainError, match="finite"):
+            chi_from_volume(volume)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(DomainError, match="finite"):
+            chi_from_volume(13.1594725348, tolerance)
 
     def test_tiny_volume_matches_nothing(self):
         with pytest.raises(NoLatticePointError):
