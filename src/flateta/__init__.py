@@ -8,10 +8,8 @@ field elements); floating point appears only in decimal renderings.
 
 from .cyclotomic import (
     CyclotomicElement,
-    Rational,
     cot_exact,
     cyclotomic_polynomial,
-    rational_normalize,
     root_of_unity,
 )
 from .dedekind import dedekind_cot, dedekind_sawtooth, sawtooth
@@ -77,7 +75,6 @@ __all__ = [
     "ObstructionError",
     "ObstructionReport",
     "PoleError",
-    "Rational",
     "SeifertData",
     "UsageError",
     "ValidationError",
@@ -97,7 +94,6 @@ __all__ = [
     "orbifold_euler_characteristic",
     "parse_descriptor",
     "predicted_signature",
-    "rational_normalize",
     "render_descriptor",
     "root_of_unity",
     "run",

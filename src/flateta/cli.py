@@ -77,7 +77,11 @@ class _Scanner:
         if self.pos == digits_from:
             self.pos = start
             self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past int()'s digit limit, or a digit it cannot read
+            self.pos = start
+            self.fail("integer has too many digits or a non-decimal digit")
 
     def at_end(self) -> bool:
         self.skip_ws()

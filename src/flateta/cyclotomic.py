@@ -1,16 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is stored as a coefficient vector over the power basis
-``1, z, ..., z^(phi(N)-1)`` of Q(zeta_N), i.e. a polynomial in the
-primitive N-th root of unity reduced modulo the N-th cyclotomic
-polynomial.  Because that basis is a Q-basis, an element is a rational
-number exactly when every coefficient past the constant term vanishes,
-so rationality certification is a syntactic check.
+An element is a polynomial in the primitive N-th root of unity reduced
+modulo the N-th cyclotomic polynomial Phi_N, over the power basis
+``1, z, ..., z^(phi(N)-1)`` of Q(zeta_N).  It is stored on integers only:
+an integer numerator vector over that basis and one positive
+denominator, in lowest terms.  Because the basis is a Q-basis, an
+element is a rational number exactly when every coefficient past the
+constant term vanishes, so rationality certification is a syntactic
+check.
 
-Coefficients are exact rationals throughout; nothing in this module
-rounds.  The main consumer is :mod:`flateta.dedekind`, which needs exact
-values of cot(k*pi/n).  Its hot path never touches a Fraction; it runs on
-plain integers in three steps:
+Nothing in this module rounds, and nothing divides field elements: the
+ring operations ``+ - *`` and non-negative powers are all the package
+uses, so there is no ``/`` and no negative power.  The main consumer is
+:mod:`flateta.dedekind`, which needs exact values of cot(k*pi/n); its
+hot path runs on the same integers in three steps:
 
 * **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
   handful of nonzero terms (5 at N = 400, degree 160), and the division
@@ -18,7 +21,7 @@ plain integers in three steps:
   division, from two-term factors x^d - 1.
 * **Integer cotangents.**  ``_cot_reduced`` gives cot(r*pi/n) as an integer
   remainder mod Phi_M plus its denominator m, cached once; ``cot_exact``
-  wraps that pair in an element.
+  builds an element from that pair without a conversion.
 * **Packed convolution (Kronecker substitution).**  An integer vector is
   packed into one int, ``sum v[i] * 2^(bits*i)``, so a polynomial product
   is one big-int multiplication.  The slot width is exact, not heuristic:
@@ -33,27 +36,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import gcd, lcm
 from operator import neg
 
 from .errors import CertificationError, DomainError, PoleError
-
-# The universal exact scalar: arbitrary-precision fractions, always reduced,
-# denominator always positive.  The stdlib type satisfies every invariant we
-# need, so we use it directly.
-Rational = Fraction
-
-
-def rational_normalize(p: int, q: int) -> Fraction:
-    """Reduced fraction p/q with positive denominator.
-
-    >>> rational_normalize(6, -9)
-    Fraction(-2, 3)
-    """
-    if q == 0:
-        raise DomainError("denominator must be nonzero")
-    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -190,49 +177,6 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
     return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits)
 
 
-# Fraction-coefficient division and extended gcd, used for inversion.
-
-
-def _divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) <= dd:
-        return [], _trim(num)
-    quot = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            c = c / lead
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    return _trim(quot), _trim(num[:dd])
-
-
-def _poly_sub_mul(a: list[Fraction], q: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """a - q*b for fraction polynomials."""
-    out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
-    for i, qi in enumerate(q):
-        if qi:
-            for j, bj in enumerate(b):
-                out[i + j] -= qi * bj
-    return _trim(out)
-
-
-def _xgcd_frac(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Extended euclidean algorithm over Q[x]: returns (g, s) with
-    s*a = g (mod b).  When b is irreducible and a is nonzero mod b, g is a
-    nonzero constant, so s/g inverts a."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub_mul(s0, q, s1)
-    return r0, s0
-
-
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
@@ -241,23 +185,38 @@ def _xgcd_frac(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], li
 class CyclotomicElement:
     """An element of Q(zeta_N), exact and immutable.
 
-    Supports ``+ - * /`` and integer powers; operands of different orders
-    are promoted to the lcm of the orders via zeta_N -> zeta_M^(M/N).
-    Rational values are canonicalized down to order 1, so e.g.
-    ``root_of_unity(4) * root_of_unity(4) == -1``.
+    Stored as ``order`` N, an integer ``numerator`` vector over the power
+    basis, reduced mod Phi_N with trailing zeros trimmed, and one positive
+    ``denominator``, kept in lowest terms; the value is
+    ``sum(numerator[j] * zeta_N^j) / denominator``.  That form is unique
+    for a given order, so ``==`` compares fields.  ``coefficients`` gives
+    the deg(Phi_N) rational coefficients.
+
+    Supports ``+ - *`` and non-negative integer powers; operands of
+    different orders are promoted to the lcm of the orders via
+    zeta_N -> zeta_M^(M/N).  There is no division: nothing exact in this
+    package divides field elements, and a negative power raises
+    DomainError.  A rational value is canonicalized down to order 1, so
+    e.g. ``root_of_unity(4) * root_of_unity(4) == -1``.
+
+    >>> z = root_of_unity(3)
+    >>> z * z + z
+    <-1 in Q(zeta_1)>
     """
 
-    __slots__ = ("order", "coefficients")
+    __slots__ = ("order", "numerator", "denominator")
 
-    def __init__(self, order: int, coefficients):
+    def __new__(cls, order: int, coefficients):
+        # Any rationals, any length: clear the denominators once, fold the
+        # exponents mod order (zeta^order = 1) and reduce mod Phi_order.
         if order < 1:
             raise DomainError("order must be >= 1")
         coeffs = [Fraction(c) for c in coefficients]
-        reduced = _reduce_fractions(coeffs, order)
-        if order > 1 and not any(reduced[1:]):
-            order, reduced = 1, reduced[:1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", tuple(reduced))
+        den = lcm(*(c.denominator for c in coeffs))
+        folded = [0] * order
+        for e, c in enumerate(coeffs):
+            folded[e % order] += c.numerator * (den // c.denominator)
+        return _element(order, _reduce_int_mod_phi(folded, order), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
@@ -279,12 +238,19 @@ class CyclotomicElement:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The deg(Phi_order) coefficients over the power basis."""
+        degree = len(cyclotomic_polynomial(self.order)) - 1
+        padding = (Fraction(0),) * (degree - len(self.numerator))
+        return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
+
+    @property
     def is_zero(self) -> bool:
-        return not any(self.coefficients)
+        return not self.numerator
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coefficients[1:])
+        return len(self.numerator) <= 1
 
     def to_rational(self) -> Fraction:
         """The element as a Fraction, or CertificationError if it is not one.
@@ -292,32 +258,30 @@ class CyclotomicElement:
         The error carries the index of the first nonzero non-constant
         coefficient of the reduced representation.
         """
-        for idx in range(1, len(self.coefficients)):
-            if self.coefficients[idx]:
+        for idx, c in enumerate(self.numerator[1:], 1):
+            if c:
                 raise CertificationError(
                     f"element of Q(zeta_{self.order}) is not rational: "
-                    f"coefficient {idx} is {self.coefficients[idx]}",
+                    f"coefficient {idx} is {Fraction(c, self.denominator)}",
                     index=idx,
                 )
-        return self.coefficients[0]
+        return Fraction(self.numerator[0] if self.numerator else 0, self.denominator)
 
     def promoted(self, order: int) -> "CyclotomicElement":
         """The same value expressed in Q(zeta_order); order must be a
         multiple of self.order.
 
-        The result keeps the requested order (no canonicalization back
-        down), so its coefficient vector always has deg(Phi_order)
-        entries; binary operations rely on that.
+        A rational value stays at order 1: its vector is the same in
+        every field, which is all binary operations need.
         """
-        if order == self.order:
-            return self
         if order % self.order:
             raise DomainError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
+        if order == self.order or self.order == 1:
+            return self
         step = order // self.order
-        out = [Fraction(0)] * ((len(self.coefficients) - 1) * step + 1)
-        for j, c in enumerate(self.coefficients):
-            out[j * step] = c
-        return _raw(order, _reduce_fractions(out, order))
+        spread = [0] * ((len(self.numerator) - 1) * step + 1)
+        spread[::step] = self.numerator
+        return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -333,14 +297,16 @@ class CyclotomicElement:
         if other is None:
             return NotImplemented
         order = lcm(self.order, other.order)
-        a = self.promoted(order).coefficients
-        b = other.promoted(order).coefficients
-        return CyclotomicElement(order, [x + y for x, y in zip(a, b)])
+        a, b = self.promoted(order), other.promoted(order)
+        den = lcm(a.denominator, b.denominator)
+        sa, sb = den // a.denominator, den // b.denominator
+        num = [x * sa + y * sb for x, y in zip_longest(a.numerator, b.numerator, fillvalue=0)]
+        return _element(order, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.order, [-c for c in self.coefficients])
+        return _element(self.order, [-c for c in self.numerator], self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -359,46 +325,19 @@ class CyclotomicElement:
         if other is None:
             return NotImplemented
         order = lcm(self.order, other.order)
-        a = self.promoted(order)
-        b = other.promoted(order)
-        an, ad = _cleared(a.coefficients)
-        bn, bd = _cleared(b.coefficients)
-        rem = _reduce_int_mod_phi(_int_product(an, bn), order)
-        den = ad * bd
-        return _from_int_remainder(order, rem, den)
+        a, b = self.promoted(order), other.promoted(order)
+        if a.is_zero or b.is_zero:
+            return CyclotomicElement.zero()
+        rem = _reduce_int_mod_phi(_int_product(a.numerator, b.numerator), order)
+        return _element(order, rem, a.denominator * b.denominator)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicElement":
-        """Multiplicative inverse via the extended polynomial gcd with
-        Phi_N (irreducible over Q, so every nonzero element is a unit)."""
-        if self.is_zero:
-            raise DomainError("division by the zero element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _xgcd_frac(list(self.coefficients), phi)
-        if len(g) != 1:
-            raise AssertionError(f"Phi_{self.order} is not irreducible?")
-        inv = [c / g[0] for c in s]
-        return CyclotomicElement(self.order, inv)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        order = lcm(self.order, other.order)
-        return self.promoted(order) * other.promoted(order).inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise DomainError(f"negative power {exponent}: field elements are not inverted")
         result = CyclotomicElement.one()
         base = self
         while exponent:
@@ -414,7 +353,8 @@ class CyclotomicElement:
         if other is None:
             return NotImplemented
         order = lcm(self.order, other.order)
-        return self.promoted(order).coefficients == other.promoted(order).coefficients
+        a, b = self.promoted(order), other.promoted(order)
+        return (a.numerator, a.denominator) == (b.numerator, b.denominator)
 
     __hash__ = None  # values compare across orders; hashing would break that
 
@@ -427,48 +367,21 @@ class CyclotomicElement:
         return f"<{body} in Q(zeta_{self.order})>"
 
 
-def _reduce_fractions(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """Reduce a fraction polynomial in z modulo z^order = 1 and Phi_order,
-    padded to deg(Phi_order) coefficients."""
-    folded = [Fraction(0)] * order
-    for e, c in enumerate(coeffs):
-        if c:
-            folded[e % order] += c
-    num, den = _cleared(folded)
-    rem = _reduce_int_mod_phi(num, order)
-    return _padded_fractions(order, rem, den)
-
-
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """Clear denominators: (integer vector, common denominator)."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs], den
-
-
-def _padded_fractions(order: int, rem: list[int], den: int) -> list[Fraction]:
-    degree = len(cyclotomic_polynomial(order)) - 1
-    out = [Fraction(0)] * degree
-    for i, c in enumerate(rem):
-        if c:  # most coefficients of a cotangent are zero
-            out[i] = Fraction(c, den)
-    return out
-
-
-def _raw(order: int, coeffs: list[Fraction]) -> CyclotomicElement:
-    # Trusted constructor: coeffs already reduced mod Phi_order and padded.
+def _element(order: int, rem, den: int) -> CyclotomicElement:
+    """The element rem(zeta_order) / den, for an integer vector rem already
+    reduced mod Phi_order and den > 0: the one constructor every element
+    goes through.  Trims rem, brings the pair to lowest terms and moves a
+    rational value down to order 1."""
+    rem = _trim(list(rem))
+    g = gcd(den, *rem)
+    if g > 1:
+        rem = [c // g for c in rem]
+        den //= g
     elem = object.__new__(CyclotomicElement)
-    object.__setattr__(elem, "order", order)
-    object.__setattr__(elem, "coefficients", tuple(coeffs))
+    object.__setattr__(elem, "order", order if len(rem) > 1 else 1)
+    object.__setattr__(elem, "numerator", tuple(rem))
+    object.__setattr__(elem, "denominator", den)
     return elem
-
-
-def _from_int_remainder(order: int, rem: list[int], den: int) -> CyclotomicElement:
-    coeffs = _padded_fractions(order, rem, den)
-    if order > 1 and not any(coeffs[1:]):
-        order, coeffs = 1, coeffs[:1]
-    return _raw(order, coeffs)
 
 
 def root_of_unity(order: int, power: int = 1) -> CyclotomicElement:
@@ -498,7 +411,7 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     if k % n == 0:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
     rem, m = _cot_reduced(k % n, n)
-    return _from_int_remainder(lcm(4, 2 * n), list(rem), m)
+    return _element(lcm(4, 2 * n), rem, m)
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 from .cyclotomic import (
     _cot_reduced,
-    _from_int_remainder,
+    _element,
     _pack,
     _reduce_int_mod_phi,
     _slot_bits,
@@ -119,7 +119,7 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
     # degree 2*deg - 2 < M (deg Phi_M <= M/2 for 4 | M), so no exponent
     # needs folding mod M before the reduction.
     rem = _reduce_int_mod_phi(_unpack(packed, 2 * degree - 1, bits), order)
-    total = _from_int_remainder(order, [2 * c for c in rem], den * den)
+    total = _element(order, [2 * c for c in rem], den * den)
     try:
         rational = total.to_rational()
     except CertificationError as exc:

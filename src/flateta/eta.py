@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from .dedekind import dedekind_cot
 from .errors import NotFlatError, ObstructionError
-from .seifert import (
-    FiberPair,
-    SeifertData,
-    euler_number,
-    orbifold_euler_characteristic,
-    validate,
-)
+from .seifert import FiberPair, SeifertData, _flatness
 
 # The cusp obstruction only applies to one-cusped fillings; every flat
 # 3-manifold is known to appear as a cusp cross-section if several cusps
@@ -74,12 +68,10 @@ def eta_flat(s: SeifertData) -> EtaResult:
     formula is only asserted where a flat metric exists (and there the
     value is metric-independent).  The empty fiber list gives eta = 0.
     """
-    validate(s)
+    e, chi_orb = _flatness(s)
     problems = []
-    e = euler_number(s)
     if e != 0:
         problems.append(f"e = {e}")
-    chi_orb = orbifold_euler_characteristic(s)
     if chi_orb != 0:
         problems.append(f"chi_orb = {chi_orb}")
     if problems:
@@ -120,7 +112,7 @@ def obstruction_report(s: SeifertData) -> ObstructionReport:
     and the predicted filler signature when eta is integral."""
     result = eta_flat(s)
     obstructed = not result.integral
-    signature = None if obstructed else -int(result.value)
+    signature = None if obstructed else predicted_signature(result.value)
     return ObstructionReport(
         eta=result,
         geodesic_boundary_obstructed=obstructed,

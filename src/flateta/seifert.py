@@ -78,23 +78,29 @@ def validate(s: SeifertData) -> SeifertData:
     return s
 
 
+def _flatness(s: SeifertData) -> tuple[Fraction, Fraction]:
+    """(e, chi_orb) of validated data: the Euler number and the orbifold
+    Euler characteristic, whose vanishing is flatness.  Validates once."""
+    validate(s)
+    e = -(s.b + sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0)))
+    cone = sum((1 - Fraction(1, f.alpha) for f in s.fibers), Fraction(0))
+    return e, 2 - 2 * s.genus - cone
+
+
 def euler_number(s: SeifertData) -> Fraction:
     """Euler number e = -(b + sum beta_i/alpha_i) of the fibration."""
-    validate(s)
-    return -(s.b + sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0)))
+    return _flatness(s)[0]
 
 
 def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     """chi_orb = 2 - 2*genus - sum (1 - 1/alpha_i) of the base orbifold."""
-    validate(s)
-    cone = sum((1 - Fraction(1, f.alpha) for f in s.fibers), Fraction(0))
-    return 2 - 2 * s.genus - cone
+    return _flatness(s)[1]
 
 
 def is_flat(s: SeifertData) -> bool:
     """Whether the fibration carries a Euclidean (flat) geometry:
     e = 0 and chi_orb = 0."""
-    return euler_number(s) == 0 and orbifold_euler_characteristic(s) == 0
+    return _flatness(s) == (0, 0)
 
 
 @dataclass(frozen=True)

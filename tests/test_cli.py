@@ -78,6 +78,21 @@ class TestParseDescriptor:
             parse_descriptor(text)
         assert excinfo.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("S2;(" + "9" * 5000 + ",1)", 4),
+            ("S2;b=" + "9" * 5000 + ";", 5),
+            ("S2;(2,-" + "9" * 5000 + ")", 6),
+            ("S2;(\u00b2,1)", 4),  # str.isdigit accepts it, int() does not
+        ],
+        ids=["long_alpha", "long_b", "long_negative_beta", "superscript_digit"],
+    )
+    def test_unreadable_integer_names_its_start(self, text, offset):
+        with pytest.raises(DescriptorSyntaxError) as excinfo:
+            parse_descriptor(text)
+        assert excinfo.value.offset == offset
+
     def test_round_trip_is_identity(self):
         samples = [
             SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1))),
@@ -119,6 +134,12 @@ class TestEtaCommand:
         code, out, err = invoke("eta", "S2;(2,1")
         assert code == 1
         assert "byte 7" in err
+
+    def test_oversized_integer_is_usage_error(self):
+        code, out, err = invoke("eta", "S2;(" + "9" * 5000 + ",1)")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: integer has too many digits") and err.count("\n") == 1
+        assert "byte 4" in err
 
     def test_matches_catalog_values(self):
         for entry in flat_catalog():

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import pytest
 
+import flateta.eta as eta_module
+import flateta.seifert as seifert
 from flateta import (
     BaseSurface,
     FiberPair,
@@ -58,6 +60,20 @@ class TestEtaFlat:
     def test_rejects_invalid_data(self):
         with pytest.raises(ValidationError):
             eta_flat(SeifertData(BaseSurface.S2, 0, ((4, 2),)))
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        real = seifert.validate
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        # patch every module that could hold a reference to validate
+        monkeypatch.setattr(seifert, "validate", counting)
+        monkeypatch.setattr(eta_module, "validate", counting, raising=False)
+        eta_flat(G5_DATA)
+        assert calls == [G5_DATA]
 
     def test_fiber_order_irrelevant(self):
         reference = eta_flat(G5_DATA).value

@@ -45,6 +45,12 @@ class TestValidate:
         assert SeifertData("T2").base is BaseSurface.T2
 
 
+@pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic, is_flat])
+def test_invariants_reject_invalid_data(invariant):
+    with pytest.raises(ValidationError, match=r"gcd\(4,2\)"):
+        invariant(SeifertData(BaseSurface.S2, 0, ((4, 2),)))
+
+
 class TestEulerNumber:
     def test_flat_examples_vanish(self):
         assert euler_number(G5_DATA) == 0
