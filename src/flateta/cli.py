@@ -5,6 +5,11 @@ to stdout, error text to stderr.  Exit codes: 0 success, 1 usage or
 descriptor syntax error, 2 domain/validation error, 3 obstruction (a
 signature was implicitly requested but eta is not an integer).
 
+Each command only computes: it returns one result holding a payload of
+exact values, its --quiet lines and its human lines.  ``run()`` renders
+that result in the requested mode and maps every error onto its exit
+code through one table, so the three output modes cannot drift apart.
+
 With --json every invocation prints a single JSON object; exact
 rationals are serialized as "p/q" strings, never as floats.  The object
 layout is documented in docs/output.schema.json.
@@ -14,8 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .dedekind import dedekind_cot, dedekind_sawtooth
 from .errors import (
@@ -24,7 +33,7 @@ from .errors import (
     ObstructionError,
     UsageError,
 )
-from .eta import MULTI_CUSP_NOTE, eta_flat, obstruction_report
+from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, obstruction_report
 from .gaussbonnet import chi_from_volume, volume_from_chi
 from .seifert import BaseSurface, FiberPair, SeifertData, flat_catalog, validate
 
@@ -38,8 +47,10 @@ SCHEMA_VERSION = "1"
 #   base       := "S2" | "T2"
 #   fibers     := "" | pair { pair }
 #   pair       := "(" integer "," integer ")"
+#   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
 #
-# b defaults to 0; whitespace is ignored everywhere.
+# b defaults to 0; whitespace is ignored everywhere.  Error offsets are
+# UTF-8 byte offsets.
 # ---------------------------------------------------------------------------
 
 
@@ -53,7 +64,8 @@ class _Scanner:
             self.pos += 1
 
     def fail(self, message: str):
-        raise DescriptorSyntaxError(message, self.pos)
+        # Only ASCII and str.isspace() characters precede pos, so this encodes.
+        raise DescriptorSyntaxError(message, len(self.text[: self.pos].encode()))
 
     def try_consume(self, literal: str) -> bool:
         self.skip_ws()
@@ -72,14 +84,14 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits_from = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in string.digits:
             self.pos += 1
         if self.pos == digits_from:
             self.pos = start
             self.fail("expected an integer")
         try:
             return int(self.text[start : self.pos])
-        except ValueError:  # past int()'s digit limit, or a digit it cannot read
+        except ValueError:  # past int()'s digit limit
             self.pos = start
             self.fail("integer has too many digits or a non-decimal digit")
 
@@ -125,206 +137,123 @@ def render_descriptor(s: SeifertData) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# subcommands: each computes one result, run() renders it
 # ---------------------------------------------------------------------------
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+class _Result(NamedTuple):
+    """What a command found: the JSON payload (exact values as Fractions),
+    the --quiet lines, the human lines, and an error to report after the
+    output is written (exit 3 for an obstructed ``obstruct``)."""
+
+    payload: dict
+    quiet: list[str]
+    human: list[str]
+    error: ObstructionError | None = None
 
 
-def _emit_json(payload: dict, out) -> None:
-    print(json.dumps(payload), file=out)
+def _eta_payload(data: SeifertData, result: EtaResult) -> dict:
+    return {
+        "descriptor": render_descriptor(data),
+        "eta": result.value,
+        "integral": result.integral,
+        "fibers": [
+            {"alpha": f.alpha, "beta": f.beta, "dedekind_sum": c}
+            for f, c in result.fiber_contributions
+        ],
+    }
 
 
-def _fiber_rows(result) -> list[dict]:
-    return [
-        {"alpha": f.alpha, "beta": f.beta, "dedekind_sum": _frac(c)}
-        for f, c in result.fiber_contributions
-    ]
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_eta(args, out, err) -> int:
+def _cmd_eta(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     result = eta_flat(data)
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "eta",
-                "descriptor": render_descriptor(data),
-                "eta": _frac(result.value),
-                "integral": result.integral,
-                "fibers": _fiber_rows(result),
-            },
-            out,
-        )
-    elif args.quiet:
-        print(result.value, file=out)
-    else:
-        print(f"eta = {result.value}", file=out)
-        print(f"integral: {'yes' if result.integral else 'no'}", file=out)
-        for fiber, contribution in result.fiber_contributions:
-            print(f"  fiber ({fiber.alpha},{fiber.beta}): s = {contribution}", file=out)
-    return 0
+    human = [f"eta = {result.value}", f"integral: {'yes' if result.integral else 'no'}"]
+    human += [f"  fiber ({f.alpha},{f.beta}): s = {c}" for f, c in result.fiber_contributions]
+    return _Result(_eta_payload(data, result), [str(result.value)], human)
 
 
-def _cmd_obstruct(args, out, err) -> int:
+def _cmd_obstruct(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     report = obstruction_report(data)
+    eta, signature = report.eta.value, report.predicted_signature
     verdict = "obstructed" if report.geodesic_boundary_obstructed else "not obstructed"
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "obstruct",
-                "descriptor": render_descriptor(data),
-                "eta": _frac(report.eta.value),
-                "integral": report.eta.integral,
-                "fibers": _fiber_rows(report.eta),
-                "geodesic_boundary_obstructed": report.geodesic_boundary_obstructed,
-                "one_cusped_cross_section_obstructed": report.one_cusped_cross_section_obstructed,
-                "predicted_signature": report.predicted_signature,
-                "note": MULTI_CUSP_NOTE,
-            },
-            out,
-        )
-    elif args.quiet:
-        if report.predicted_signature is None:
-            print("obstructed", file=out)
-        else:
-            print(f"not obstructed; predicted signature {report.predicted_signature}", file=out)
-    else:
-        kind = "an integer" if report.eta.integral else "not an integer"
-        print(f"eta = {report.eta.value} ({kind})", file=out)
-        print(
-            "totally geodesic boundary of a compact hyperbolic 4-manifold: "
-            f"{verdict}",
-            file=out,
-        )
-        print(
-            "cusp cross-section of a one-cusped finite-volume hyperbolic "
-            f"4-manifold: {verdict}",
-            file=out,
-        )
-        if report.predicted_signature is None:
-            print("predicted filler signature: none", file=out)
-        else:
-            print(f"predicted filler signature: {report.predicted_signature}", file=out)
-        print(f"note: {MULTI_CUSP_NOTE}", file=out)
-    if report.predicted_signature is None:
-        print(
-            f"error: eta = {report.eta.value} is not an integer; geometric "
-            "bounding is obstructed, no signature prediction exists",
-            file=err,
-        )
-        return 3
-    return 0
+    payload = _eta_payload(data, report.eta)
+    payload.update(
+        geodesic_boundary_obstructed=report.geodesic_boundary_obstructed,
+        one_cusped_cross_section_obstructed=report.one_cusped_cross_section_obstructed,
+        predicted_signature=signature,
+        note=MULTI_CUSP_NOTE,
+    )
+    human = [
+        f"eta = {eta} ({'an integer' if report.eta.integral else 'not an integer'})",
+        f"totally geodesic boundary of a compact hyperbolic 4-manifold: {verdict}",
+        "cusp cross-section of a one-cusped finite-volume hyperbolic "
+        f"4-manifold: {verdict}",
+        f"predicted filler signature: {'none' if signature is None else signature}",
+        f"note: {MULTI_CUSP_NOTE}",
+    ]
+    if signature is not None:
+        return _Result(payload, [f"not obstructed; predicted signature {signature}"], human)
+    error = ObstructionError(
+        f"eta = {eta} is not an integer; geometric bounding is obstructed, "
+        "no signature prediction exists"
+    )
+    return _Result(payload, ["obstructed"], human, error)
 
 
-def _cmd_dedekind(args, out, err) -> int:
+def _cmd_dedekind(args) -> _Result:
     # The cotangent route first: it refuses alpha above its ceiling before
     # the O(alpha) sawtooth would run.
     cot = dedekind_cot(args.beta, args.alpha)
     saw = dedekind_sawtooth(args.beta, args.alpha)
-    if args.json:
-        _emit_json(
+    return _Result(
+        {"beta": args.beta, "alpha": args.alpha, "sawtooth": saw, "cotangent": cot},
+        [str(saw)],
+        [
+            f"s({args.beta},{args.alpha}) = {saw}",
+            f"  sawtooth path:  {saw}",
+            f"  cotangent path: {cot}",
+        ],
+    )
+
+
+def _cmd_catalog(args) -> _Result:
+    rows, quiet, human = [], [], []
+    for e in flat_catalog():
+        desc = render_descriptor(e.seifert) if e.seifert else None
+        rows.append(
             {
-                "schema": SCHEMA_VERSION,
-                "command": "dedekind",
-                "beta": args.beta,
-                "alpha": args.alpha,
-                "sawtooth": _frac(saw),
-                "cotangent": _frac(cot),
-            },
-            out,
+                "name": e.name,
+                "holonomy": e.holonomy,
+                "descriptor": desc,
+                "eta": e.eta,
+                "eta_integral": e.eta_integral,
+                "note": e.note,
+            }
         )
-    elif args.quiet:
-        print(saw, file=out)
-    else:
-        print(f"s({args.beta},{args.alpha}) = {saw}", file=out)
-        print(f"  sawtooth path:  {saw}", file=out)
-        print(f"  cotangent path: {cot}", file=out)
-    return 0
+        quiet.append(f"{e.name} {'unknown' if e.eta is None else e.eta}")
+        human.append(f"{e.name}  holonomy {e.holonomy}  {desc or '(no Seifert data)'}")
+        if e.eta is None:
+            human.append("    eta not computed (integral by assertion)")
+        else:
+            kind = "an integer" if e.eta_integral else "not an integer"
+            human.append(f"    eta = {e.eta} ({kind})")
+        human.append(f"    {e.note}")
+    return _Result({"entries": rows}, quiet, human)
 
 
-def _cmd_catalog(args, out, err) -> int:
-    entries = flat_catalog()
-    if args.json:
-        rows = []
-        for e in entries:
-            rows.append(
-                {
-                    "name": e.name,
-                    "holonomy": e.holonomy,
-                    "descriptor": render_descriptor(e.seifert) if e.seifert else None,
-                    "eta": _frac(e.eta) if e.eta is not None else None,
-                    "eta_integral": e.eta_integral,
-                    "note": e.note,
-                }
-            )
-        _emit_json(
-            {"schema": SCHEMA_VERSION, "command": "catalog", "entries": rows},
-            out,
-        )
-    elif args.quiet:
-        for e in entries:
-            eta = str(e.eta) if e.eta is not None else "unknown"
-            print(f"{e.name} {eta}", file=out)
-    else:
-        for e in entries:
-            desc = render_descriptor(e.seifert) if e.seifert else "(no Seifert data)"
-            print(f"{e.name}  holonomy {e.holonomy}  {desc}", file=out)
-            if e.eta is not None:
-                kind = "an integer" if e.eta_integral else "not an integer"
-                print(f"    eta = {e.eta} ({kind})", file=out)
-            else:
-                print("    eta not computed (integral by assertion)", file=out)
-            print(f"    {e.note}", file=out)
-    return 0
-
-
-def _cmd_gauss_bonnet(args, out, err) -> int:
+def _cmd_gauss_bonnet(args) -> _Result:
     if args.chi is not None:
         value = volume_from_chi(args.chi)
-        if args.json:
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "command": "gauss-bonnet",
-                    "chi": args.chi,
-                    "volume_coefficient": _frac(value.coefficient),
-                    "volume": value.approx,
-                },
-                out,
-            )
-        elif args.quiet:
-            print(value.approx, file=out)
-        else:
-            print(f"volume = {value.coefficient}*pi^2 = {value.approx}", file=out)
-    else:
-        chi = chi_from_volume(args.volume, args.tol)
-        if args.json:
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "command": "gauss-bonnet",
-                    "volume": args.volume,
-                    "tolerance": args.tol,
-                    "chi": chi,
-                },
-                out,
-            )
-        elif args.quiet:
-            print(chi, file=out)
-        else:
-            print(f"chi = {chi}", file=out)
-    return 0
+        return _Result(
+            {"chi": args.chi, "volume_coefficient": value.coefficient, "volume": value.approx},
+            [value.approx],
+            [f"volume = {value.coefficient}*pi^2 = {value.approx}"],
+        )
+    chi = chi_from_volume(args.volume, args.tol)
+    return _Result(
+        {"volume": args.volume, "tolerance": args.tol, "chi": chi}, [str(chi)], [f"chi = {chi}"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +266,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The command line parser, built once per process on first use."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--json",
@@ -414,28 +345,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Exit code of each error class; every FlatEtaError the CLI reports is one
+# of these (subclasses included).
+_EXIT_CODES = {UsageError: 1, DescriptorSyntaxError: 1, DomainError: 2, ObstructionError: 3}
+
+
+def _exact(value):
+    """json.dumps hook: an exact rational is written as "p/q"."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
+        with redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = _build_parser().parse_args(argv)
+        result = args.handler(args)
+        if args.json:
+            header = {"schema": SCHEMA_VERSION, "command": args.command}
+            print(json.dumps(header | result.payload, default=_exact), file=out)
+        else:
+            print("\n".join(result.quiet if args.quiet else result.human), file=out)
+        if result.error is not None:
+            raise result.error
+        return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args, out, err)
-    except DescriptorSyntaxError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=err)
-        return 1
-    except ObstructionError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -42,6 +42,18 @@ from operator import neg
 
 from .errors import CertificationError, DomainError, PoleError
 
+# Largest field order N this module builds, checked before any O(N) list
+# is allocated.  It is 4 * dedekind.COT_ALPHA_MAX: the Dedekind route works
+# in Q(zeta_M), M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999).
+FIELD_ORDER_MAX = 4000
+
+
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    if order > FIELD_ORDER_MAX:
+        raise DomainError(f"field order {order} is above FIELD_ORDER_MAX = {FIELD_ORDER_MAX}")
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense ascending coefficient lists)
@@ -88,8 +100,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(12)
     (1, 0, -1, 0, 1)
     """
-    if order < 1:
-        raise DomainError("cyclotomic polynomial order must be >= 1")
+    _check_order(order)
     primes, rest, p = [], order, 2
     while rest > 1:
         if rest % p == 0:
@@ -209,8 +220,7 @@ class CyclotomicElement:
     def __new__(cls, order: int, coefficients):
         # Any rationals, any length: clear the denominators once, fold the
         # exponents mod order (zeta^order = 1) and reduce mod Phi_order.
-        if order < 1:
-            raise DomainError("order must be >= 1")
+        _check_order(order)
         coeffs = [Fraction(c) for c in coefficients]
         den = lcm(*(c.denominator for c in coeffs))
         folded = [0] * order
@@ -278,6 +288,7 @@ class CyclotomicElement:
             raise DomainError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
         if order == self.order or self.order == 1:
             return self
+        _check_order(order)
         step = order // self.order
         spread = [0] * ((len(self.numerator) - 1) * step + 1)
         spread[::step] = self.numerator
@@ -386,8 +397,7 @@ def _element(order: int, rem, den: int) -> CyclotomicElement:
 
 def root_of_unity(order: int, power: int = 1) -> CyclotomicElement:
     """zeta_order^power, i.e. e^(2*pi*i*power/order)."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    _check_order(order)
     power %= order
     return CyclotomicElement(order, [0] * power + [1])
 
@@ -410,8 +420,10 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise DomainError("cotangent denominator n must be >= 1")
     if k % n == 0:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
+    order = lcm(4, 2 * n)
+    _check_order(order)
     rem, m = _cot_reduced(k % n, n)
-    return _element(lcm(4, 2 * n), rem, m)
+    return _element(order, rem, m)
 
 
 @lru_cache(maxsize=None)

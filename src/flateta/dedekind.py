@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import (
+    FIELD_ORDER_MAX,
     _cot_reduced,
     _element,
     _pack,
@@ -66,10 +67,11 @@ def _check_pair(beta: int, alpha: int) -> None:
         )
 
 
-# Largest alpha the cotangent route accepts.  Its cost follows deg Phi_M,
+# Largest alpha the cotangent route accepts, 1000, so that its fields stay
+# within the cyclotomic module's ceiling.  Its cost follows deg Phi_M,
 # which peaks at prime alpha (deg = 2*(alpha - 1)): a cold alpha = 997 takes
 # about 2 s, alpha = 2000 about 4 s (README has the table).
-COT_ALPHA_MAX = 1000
+COT_ALPHA_MAX = FIELD_ORDER_MAX // 4
 
 
 def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:

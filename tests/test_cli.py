@@ -1,5 +1,6 @@
 """Descriptor grammar and command line behavior."""
 
+import argparse
 import io
 import json
 import time
@@ -20,9 +21,18 @@ from flateta import (
     render_descriptor,
     run,
 )
+from flateta import cli
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
+)
+
+# stdout, stderr and exit code of every command in all three output modes,
+# recorded before the commands were split into one result plus renderers:
+# eta/obstruct on the catalog descriptors, S2;(3,1)(3,1)(3,1), one syntax
+# error and one non-flat descriptor; dedekind; catalog; gauss-bonnet both ways.
+TRANSCRIPT = json.loads(
+    (Path(__file__).resolve().parent / "cli_transcript.json").read_text(encoding="utf-8")
 )
 
 
@@ -36,6 +46,11 @@ def parse_json_output(text):
     payload = json.loads(text)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+@pytest.mark.parametrize("row", TRANSCRIPT, ids=[" ".join(r["argv"]) for r in TRANSCRIPT])
+def test_transcript_is_byte_identical(row):
+    assert invoke(*row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
 
 
 class TestParseDescriptor:
@@ -84,12 +99,40 @@ class TestParseDescriptor:
             ("S2;(" + "9" * 5000 + ",1)", 4),
             ("S2;b=" + "9" * 5000 + ";", 5),
             ("S2;(2,-" + "9" * 5000 + ")", 6),
-            ("S2;(\u00b2,1)", 4),  # str.isdigit accepts it, int() does not
+            ("S2;(\u00b2,1)", 4),  # str.isdigit accepts it, but it is not ASCII
         ],
         ids=["long_alpha", "long_b", "long_negative_beta", "superscript_digit"],
     )
     def test_unreadable_integer_names_its_start(self, text, offset):
         with pytest.raises(DescriptorSyntaxError) as excinfo:
+            parse_descriptor(text)
+        assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("S2;\u00a0x", 5),  # U+00A0 is two bytes in UTF-8
+            ("S2;\u3000(2,1)x", 11),  # U+3000 is three
+            ("S2;\u00a0(2,1\u00a0", 11),  # the end of the text
+        ],
+    )
+    def test_offsets_count_utf8_bytes(self, text, offset):
+        with pytest.raises(DescriptorSyntaxError) as excinfo:
+            parse_descriptor(text)
+        assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("S2;(\u0662,1)(\u0662,1)(2,-1)(2,-1)", 4),  # ARABIC-INDIC DIGIT TWO
+            ("S2;b=\u0661;(2,1)", 5),
+            ("S2;(2,\uff11)", 6),  # FULLWIDTH DIGIT ONE
+        ],
+    )
+    def test_only_ascii_digits(self, text, offset):
+        # int() reads these as 2 and 1, so they used to parse, and the
+        # accepted text did not survive render_descriptor
+        with pytest.raises(DescriptorSyntaxError, match="expected an integer") as excinfo:
             parse_descriptor(text)
         assert excinfo.value.offset == offset
 
@@ -134,6 +177,11 @@ class TestEtaCommand:
         code, out, err = invoke("eta", "S2;(2,1")
         assert code == 1
         assert "byte 7" in err
+
+    def test_offset_after_non_ascii_space_is_in_bytes(self):
+        code, out, err = invoke("eta", "S2;\u00a0x")
+        assert (code, out) == (1, "")
+        assert err == "error: expected '(' (byte 5)\n"
 
     def test_oversized_integer_is_usage_error(self):
         code, out, err = invoke("eta", "S2;(" + "9" * 5000 + ",1)")
@@ -319,6 +367,30 @@ class TestCliContract:
         for argv in invocations:
             code, out, err = invoke(*argv)
             assert (code == 0) == (err == ""), argv
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        invoke("eta", "T2;", "--json")
+        first = len(built)
+        assert first > 0
+        for argv in (("eta", "T2;"), ("dedekind", "3", "7"), ("catalog", "--quiet"), ("frobnicate",)):
+            invoke(*argv)
+        assert len(built) == first
+
+    @pytest.mark.parametrize("argv", [("--help",), ("eta", "--help"), ("gauss-bonnet", "-h")])
+    def test_help_goes_to_the_given_stdout(self, argv, capsys):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: flateta")
+        assert capsys.readouterr() == ("", "")
 
     def test_json_output_is_single_object(self):
         for argv in (

@@ -3,6 +3,7 @@
 import cmath
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from flateta import (
     cyclotomic_polynomial,
     root_of_unity,
 )
-from flateta.cyclotomic import _int_product, _pack, _slot_bits, _unpack
+from flateta.cyclotomic import FIELD_ORDER_MAX, _int_product, _pack, _slot_bits, _unpack
+from flateta.dedekind import COT_ALPHA_MAX
 
 from helpers import embed_complex
 
@@ -197,6 +199,51 @@ class TestFieldAxioms:
         worker.join(timeout=5)
         assert not worker.is_alive()
         assert outcome == ["refused"]
+
+
+class TestFieldOrderCeiling:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cyclotomic_polynomial(10**12 + 39),  # trial division alone ran > 10 s
+            lambda: CyclotomicElement(FIELD_ORDER_MAX + 1, [1]),
+            lambda: root_of_unity(FIELD_ORDER_MAX + 1),
+            lambda: cot_exact(1, 2001),  # lcm(4, 4002) = 8004
+            lambda: root_of_unity(3) * root_of_unity(1999),  # promoted to order 5997
+        ],
+        ids=["polynomial", "element", "root_of_unity", "cot_exact", "promoted"],
+    )
+    def test_refused_promptly(self, call):
+        outcome = []
+
+        def attempt():
+            try:
+                call()
+            except DomainError as exc:
+                outcome.append(str(exc))
+
+        worker = threading.Thread(target=attempt, daemon=True)
+        worker.start()
+        worker.join(timeout=1)
+        assert not worker.is_alive()
+        assert len(outcome) == 1 and "FIELD_ORDER_MAX" in outcome[0]
+
+    def test_promotion_refused_before_spreading(self):
+        wide = CyclotomicElement(3989, range(3988))  # 3989 and 3967 are prime
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="FIELD_ORDER_MAX"):
+                wide * root_of_unity(3967)  # spread to order 3989 * 3967: 16M slots
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_covers_every_dedekind_field(self):
+        assert FIELD_ORDER_MAX == 4 * COT_ALPHA_MAX
+        assert max(math.lcm(4, 2 * n) for n in range(1, COT_ALPHA_MAX + 1)) <= FIELD_ORDER_MAX
+        assert cot_exact(1, 999).order == 3996
+        assert root_of_unity(FIELD_ORDER_MAX).order == FIELD_ORDER_MAX
 
 
 class TestRepresentation:
