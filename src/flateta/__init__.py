@@ -6,12 +6,7 @@ All public values are exact (arbitrary-precision rationals or cyclotomic
 field elements); floating point appears only in decimal renderings.
 """
 
-from .cyclotomic import (
-    CyclotomicElement,
-    cot_exact,
-    cyclotomic_polynomial,
-    root_of_unity,
-)
+from .cyclotomic import CyclotomicElement, cot_exact, cyclotomic_polynomial
 from .dedekind import dedekind_cot, dedekind_sawtooth, sawtooth
 from .errors import (
     AmbiguousToleranceError,
@@ -95,7 +90,6 @@ __all__ = [
     "parse_descriptor",
     "predicted_signature",
     "render_descriptor",
-    "root_of_unity",
     "run",
     "sawtooth",
     "validate",

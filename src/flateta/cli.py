@@ -93,7 +93,7 @@ class _Scanner:
             return int(self.text[start : self.pos])
         except ValueError:  # past int()'s digit limit
             self.pos = start
-            self.fail("integer has too many digits or a non-decimal digit")
+            self.fail("integer has too many digits")
 
     def at_end(self) -> bool:
         self.skip_ws()

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact cotangents in cyclotomic fields Q(zeta_N).
 
 An element is a polynomial in the primitive N-th root of unity reduced
 modulo the N-th cyclotomic polynomial Phi_N, over the power basis
@@ -9,11 +9,12 @@ element is a rational number exactly when every coefficient past the
 constant term vanishes, so rationality certification is a syntactic
 check.
 
-Nothing in this module rounds, and nothing divides field elements: the
-ring operations ``+ - *`` and non-negative powers are all the package
-uses, so there is no ``/`` and no negative power.  The main consumer is
-:mod:`flateta.dedekind`, which needs exact values of cot(k*pi/n); its
-hot path runs on the same integers in three steps:
+Nothing in this module rounds, and there is no field arithmetic on
+elements: ``cot_exact`` returns cot(k*pi/n) as an element that can be
+compared, promoted to a larger field, read as coefficients or certified
+rational, and that is all.  The one consumer of the arithmetic is
+:mod:`flateta.dedekind`, which sums products of exact cotangents on the
+integers underneath, in three steps:
 
 * **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
   handful of nonzero terms (5 at N = 400, degree 160), and the division
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import gcd, lcm
 from operator import neg
 
@@ -181,71 +182,33 @@ def _unpack(packed: int, slots: int, bits: int) -> list[int]:
             for i in range(0, slots * width, width)]
 
 
-def _int_product(a: list[int], b: list[int]) -> list[int]:
-    """The integer convolution of a and b by one big-int multiplication."""
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    bits = _slot_bits(max(top_a, top_b, min(len(a), len(b)) * top_a * top_b))
-    return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits)
-
-
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_N), exact and immutable.
+    """An exact cotangent value in Q(zeta_N), immutable, as returned by
+    ``cot_exact``.
 
     Stored as ``order`` N, an integer ``numerator`` vector over the power
     basis, reduced mod Phi_N with trailing zeros trimmed, and one positive
     ``denominator``, kept in lowest terms; the value is
     ``sum(numerator[j] * zeta_N^j) / denominator``.  That form is unique
-    for a given order, so ``==`` compares fields.  ``coefficients`` gives
-    the deg(Phi_N) rational coefficients.
+    for a given order, so ``==`` compares fields; elements of different
+    orders compare in the field of the lcm of the orders, via ``promoted``.
+    A rational value is canonicalized down to order 1.  ``coefficients``
+    gives the deg(Phi_N) rational coefficients, ``to_rational`` the value
+    as a Fraction when it is rational.
 
-    Supports ``+ - *`` and non-negative integer powers; operands of
-    different orders are promoted to the lcm of the orders via
-    zeta_N -> zeta_M^(M/N).  There is no division: nothing exact in this
-    package divides field elements, and a negative power raises
-    DomainError.  A rational value is canonicalized down to order 1, so
-    e.g. ``root_of_unity(4) * root_of_unity(4) == -1``.
-
-    >>> z = root_of_unity(3)
-    >>> z * z + z
-    <-1 in Q(zeta_1)>
+    >>> cot_exact(1, 6)
+    <(2)*z^1 + (-1)*z^3 in Q(zeta_12)>
     """
 
     __slots__ = ("order", "numerator", "denominator")
 
-    def __new__(cls, order: int, coefficients):
-        # Any rationals, any length: clear the denominators once, fold the
-        # exponents mod order (zeta^order = 1) and reduce mod Phi_order.
-        _check_order(order)
-        coeffs = [Fraction(c) for c in coefficients]
-        den = lcm(*(c.denominator for c in coeffs))
-        folded = [0] * order
-        for e, c in enumerate(coeffs):
-            folded[e % order] += c.numerator * (den // c.denominator)
-        return _element(order, _reduce_int_mod_phi(folded, order), den)
-
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value) -> "CyclotomicElement":
-        return cls(1, [Fraction(value)])
-
-    @staticmethod
-    def zero() -> "CyclotomicElement":
-        return CyclotomicElement(1, [0])
-
-    @staticmethod
-    def one() -> "CyclotomicElement":
-        return CyclotomicElement(1, [1])
-
-    # -- structure ---------------------------------------------------------
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -253,14 +216,6 @@ class CyclotomicElement:
         degree = len(cyclotomic_polynomial(self.order)) - 1
         padding = (Fraction(0),) * (degree - len(self.numerator))
         return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.numerator
-
-    @property
-    def is_rational(self) -> bool:
-        return len(self.numerator) <= 1
 
     def to_rational(self) -> Fraction:
         """The element as a Fraction, or CertificationError if it is not one.
@@ -282,7 +237,7 @@ class CyclotomicElement:
         multiple of self.order.
 
         A rational value stays at order 1: its vector is the same in
-        every field, which is all binary operations need.
+        every field, which is all ``==`` needs.
         """
         if order % self.order:
             raise DomainError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
@@ -294,74 +249,8 @@ class CyclotomicElement:
         spread[::step] = self.numerator
         return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CyclotomicElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicElement.from_rational(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        order = lcm(self.order, other.order)
-        a, b = self.promoted(order), other.promoted(order)
-        den = lcm(a.denominator, b.denominator)
-        sa, sb = den // a.denominator, den // b.denominator
-        num = [x * sa + y * sb for x, y in zip_longest(a.numerator, b.numerator, fillvalue=0)]
-        return _element(order, num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _element(self.order, [-c for c in self.numerator], self.denominator)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        order = lcm(self.order, other.order)
-        a, b = self.promoted(order), other.promoted(order)
-        if a.is_zero or b.is_zero:
-            return CyclotomicElement.zero()
-        rem = _reduce_int_mod_phi(_int_product(a.numerator, b.numerator), order)
-        return _element(order, rem, a.denominator * b.denominator)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise DomainError(f"negative power {exponent}: field elements are not inverted")
-        result = CyclotomicElement.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CyclotomicElement):
             return NotImplemented
         order = lcm(self.order, other.order)
         a, b = self.promoted(order), other.promoted(order)
@@ -393,13 +282,6 @@ def _element(order: int, rem, den: int) -> CyclotomicElement:
     object.__setattr__(elem, "numerator", tuple(rem))
     object.__setattr__(elem, "denominator", den)
     return elem
-
-
-def root_of_unity(order: int, power: int = 1) -> CyclotomicElement:
-    """zeta_order^power, i.e. e^(2*pi*i*power/order)."""
-    _check_order(order)
-    power %= order
-    return CyclotomicElement(order, [0] * power + [1])
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,13 @@ from math import gcd, lcm
 from .cyclotomic import (
     FIELD_ORDER_MAX,
     _cot_reduced,
-    _element,
     _pack,
     _reduce_int_mod_phi,
     _slot_bits,
     _unpack,
     cyclotomic_polynomial,
 )
-from .errors import CertificationError, DomainError
+from .errors import DomainError
 
 
 def sawtooth(x) -> Fraction:
@@ -121,15 +120,15 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
     # degree 2*deg - 2 < M (deg Phi_M <= M/2 for 4 | M), so no exponent
     # needs folding mod M before the reduction.
     rem = _reduce_int_mod_phi(_unpack(packed, 2 * degree - 1, bits), order)
-    total = _element(order, [2 * c for c in rem], den * den)
-    try:
-        rational = total.to_rational()
-    except CertificationError as exc:
+    # The sum is rational exactly when nothing past the constant term is
+    # left (the power basis is a Q-basis); certify that before returning.
+    constant, *rest = rem or [0]
+    if any(rest):
         raise RuntimeError(
             "internal error: cotangent Dedekind sum failed rationality "
             f"certification for ({beta}, {alpha})"
-        ) from exc
-    return rational / (4 * alpha)
+        )
+    return Fraction(2 * constant, den * den * 4 * alpha)
 
 
 @lru_cache(maxsize=None)

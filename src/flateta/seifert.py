@@ -22,7 +22,7 @@ class BaseSurface(enum.Enum):
     T2 = "T2"
 
 
-_EXPECTED_GENUS = {BaseSurface.S2: 0, BaseSurface.T2: 1}
+_GENUS = {BaseSurface.S2: 0, BaseSurface.T2: 1}
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,14 @@ class FiberPair:
 class SeifertData:
     """Seifert invariants (base, b, (alpha_1, beta_1), ...).
 
-    ``genus`` is derived from the base when omitted (0 for S2, 1 for T2);
-    fibers may be given as FiberPair instances or bare (alpha, beta)
-    pairs.  Construction does not validate; see :func:`validate`.
+    ``genus`` is read off the base (0 for S2, 1 for T2); fibers may be
+    given as FiberPair instances or bare (alpha, beta) pairs.
+    Construction does not validate; see :func:`validate`.
     """
 
     base: BaseSurface
     b: int = 0
     fibers: tuple[FiberPair, ...] = ()
-    genus: int | None = None
 
     def __post_init__(self):
         if isinstance(self.base, str):
@@ -56,8 +55,10 @@ class SeifertData:
             "fibers",
             tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in self.fibers),
         )
-        if self.genus is None:
-            object.__setattr__(self, "genus", _EXPECTED_GENUS[self.base])
+
+    @property
+    def genus(self) -> int:
+        return _GENUS[self.base]
 
 
 def validate(s: SeifertData) -> SeifertData:
@@ -65,11 +66,6 @@ def validate(s: SeifertData) -> SeifertData:
 
     Raises ValidationError naming the offending field otherwise.
     """
-    expected = _EXPECTED_GENUS[s.base]
-    if s.genus != expected:
-        raise ValidationError(
-            f"genus: expected {expected} for base {s.base.value}, got {s.genus}"
-        )
     for i, fiber in enumerate(s.fibers):
         if fiber.alpha < 2:
             raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")

@@ -1,4 +1,4 @@
-"""Exact rational and cyclotomic field arithmetic."""
+"""Exact cotangents in cyclotomic fields and the integer kernel under them."""
 
 import cmath
 import math
@@ -6,23 +6,22 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flateta import (
     CertificationError,
-    CyclotomicElement,
     DomainError,
     PoleError,
     cot_exact,
     cyclotomic_polynomial,
-    root_of_unity,
 )
-from flateta.cyclotomic import FIELD_ORDER_MAX, _int_product, _pack, _slot_bits, _unpack
+from flateta.cyclotomic import FIELD_ORDER_MAX, _pack, _slot_bits, _unpack
 from flateta.dedekind import COT_ALPHA_MAX
 
-from helpers import embed_complex
+from helpers import embed_complex, embed_mp
 
 
 def _poly_mul(a, b):
@@ -118,87 +117,10 @@ class TestPackedConvolution:
         assert result[length - 1] == sign * count * length * top * top
         assert result == _summed_products(pairs, length)
 
-    @given(
-        a=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
-        b=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_int_product_matches_schoolbook(self, a, b):
-        assert _int_product(a, b) == _poly_mul(a, b)
-
-    def test_int_product_with_zero_vector(self):
-        assert _int_product([10**30, -5], [0, 0, 0]) == [0, 0, 0, 0]
-
     @pytest.mark.parametrize("excess", [1 << 24, -(1 << 24)])
     def test_overflow_past_the_top_slot_is_an_internal_error(self, excess):
         with pytest.raises(RuntimeError, match="internal error"):
             _unpack(excess, 3, 8)
-
-
-class TestRootsOfUnity:
-    def test_i_squared_is_minus_one(self):
-        i = root_of_unity(4)
-        assert i * i == -1
-
-    def test_zeta3_plus_zeta3_squared_is_minus_one(self):
-        z = root_of_unity(3)
-        assert z + z * z == -1
-
-    def test_adding_zero_is_identity(self):
-        for order in (1, 2, 3, 5, 8, 24):
-            z = root_of_unity(order)
-            assert z + CyclotomicElement.zero() == z
-
-    @pytest.mark.parametrize("order", range(1, 25))
-    def test_repeated_multiplication_closes_cycle(self, order):
-        z = root_of_unity(order)
-        acc = CyclotomicElement.one()
-        for _ in range(order):
-            acc = acc * z
-        assert acc == 1
-
-    def test_mixed_orders_promote_to_lcm(self):
-        assert root_of_unity(2) * root_of_unity(3) == root_of_unity(6, 5)
-        assert root_of_unity(4) + root_of_unity(4, 3) == 0
-
-
-_small_fractions = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
-)
-
-
-def _elements(order):
-    degree = len(cyclotomic_polynomial(order)) - 1
-    return st.lists(
-        _small_fractions, min_size=degree, max_size=degree
-    ).map(lambda coeffs: CyclotomicElement(order, coeffs))
-
-
-class TestFieldAxioms:
-    @given(a=_elements(12), b=_elements(12), c=_elements(12))
-    @settings(max_examples=60, deadline=None)
-    def test_ring_identities(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-
-    def test_negative_power_refused_promptly(self):
-        # without the guard, square-and-multiply on a negative exponent
-        # never terminates: -1 >> 1 == -1
-        outcome = []
-
-        def attempt():
-            try:
-                root_of_unity(5) ** -1
-            except DomainError:
-                outcome.append("refused")
-
-        worker = threading.Thread(target=attempt, daemon=True)
-        worker.start()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        assert outcome == ["refused"]
 
 
 class TestFieldOrderCeiling:
@@ -206,12 +128,10 @@ class TestFieldOrderCeiling:
         "call",
         [
             lambda: cyclotomic_polynomial(10**12 + 39),  # trial division alone ran > 10 s
-            lambda: CyclotomicElement(FIELD_ORDER_MAX + 1, [1]),
-            lambda: root_of_unity(FIELD_ORDER_MAX + 1),
             lambda: cot_exact(1, 2001),  # lcm(4, 4002) = 8004
-            lambda: root_of_unity(3) * root_of_unity(1999),  # promoted to order 5997
+            lambda: cot_exact(1, 3).promoted(12 * 500),  # from Q(zeta_12) to order 6000
         ],
-        ids=["polynomial", "element", "root_of_unity", "cot_exact", "promoted"],
+        ids=["polynomial", "cot_exact", "promoted"],
     )
     def test_refused_promptly(self, call):
         outcome = []
@@ -229,11 +149,12 @@ class TestFieldOrderCeiling:
         assert len(outcome) == 1 and "FIELD_ORDER_MAX" in outcome[0]
 
     def test_promotion_refused_before_spreading(self):
-        wide = CyclotomicElement(3989, range(3988))  # 3989 and 3967 are prime
+        wide = cot_exact(1, 997)  # in Q(zeta_3988), 1992 coefficients
+        assert len(wide.numerator) > 1000
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="FIELD_ORDER_MAX"):
-                wide * root_of_unity(3967)  # spread to order 3989 * 3967: 16M slots
+                wide.promoted(3988 * 3967)  # spread over 3967 * 1991 slots
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,23 +164,20 @@ class TestFieldOrderCeiling:
         assert FIELD_ORDER_MAX == 4 * COT_ALPHA_MAX
         assert max(math.lcm(4, 2 * n) for n in range(1, COT_ALPHA_MAX + 1)) <= FIELD_ORDER_MAX
         assert cot_exact(1, 999).order == 3996
-        assert root_of_unity(FIELD_ORDER_MAX).order == FIELD_ORDER_MAX
+        assert cot_exact(1, 5).promoted(FIELD_ORDER_MAX).order == FIELD_ORDER_MAX
 
 
 class TestRepresentation:
-    @given(coeffs=st.lists(_small_fractions, min_size=4, max_size=4))
+    @given(n=st.integers(2, 60), k=st.integers(-100, 100))
     @settings(max_examples=100, deadline=None)
-    def test_integer_vector_in_lowest_terms(self, coeffs):
-        elem = CyclotomicElement(12, coeffs)  # deg Phi_12 = 4: already reduced
-        assert elem.coefficients + (0,) * (4 - len(elem.coefficients)) == tuple(coeffs)
+    def test_integer_vector_in_lowest_terms(self, n, k):
+        # == compares numerator and denominator, so the form must be canonical
+        assume(k % n)
+        elem = cot_exact(k, n)
         assert elem.denominator > 0
         assert math.gcd(elem.denominator, *elem.numerator) == 1
         assert not elem.numerator or elem.numerator[-1] != 0
-
-    def test_constructor_folds_and_reduces(self):
-        # z^13 = z and z^4 = z^2 - 1 in Q(zeta_12)
-        elem = CyclotomicElement(12, [0] * 4 + [Fraction(1, 2)] + [0] * 8 + [Fraction(1, 3)])
-        assert (elem.numerator, elem.denominator) == ((-3, 2, 3), 6)
+        assert elem.order == (1 if len(elem.numerator) <= 1 else math.lcm(4, 2 * n))
 
 
 class TestCotExact:
@@ -267,11 +185,13 @@ class TestCotExact:
         assert cot_exact(1, 4).to_rational() == 1
 
     def test_cot_half_pi_is_zero(self):
-        assert cot_exact(1, 2).is_zero
+        assert cot_exact(1, 2).to_rational() == 0
 
     def test_cot_sixth_pi_squares_to_three(self):
+        # sqrt(3) = z + z^-1 = 2z - z^3 in Q(zeta_12), since z^4 = z^2 - 1
         c = cot_exact(1, 6)
-        assert c * c == 3
+        assert (c.order, c.coefficients) == (12, (0, 2, 0, -1))
+        assert abs(embed_mp(c) ** 2 - 3) < mpmath.mpf(10) ** -45
         assert abs(embed_complex(c) - 1 / math.tan(math.pi / 6)) < 1e-12
 
     @pytest.mark.parametrize("k, n", [(0, 5), (5, 5), (10, 5), (-3, 3)])
@@ -296,11 +216,15 @@ class TestCotExact:
     def test_periodic_in_k(self):
         assert cot_exact(1, 6) == cot_exact(7, 6) == cot_exact(-5, 6)
 
+    def test_equal_across_orders(self):
+        # cot(pi/3) lives in Q(zeta_12); promoted values compare at the lcm
+        value = cot_exact(1, 3)
+        assert value.promoted(24) == value == cot_exact(2, 6).promoted(36)
+        assert value.promoted(24) != cot_exact(1, 6)
+        assert cot_exact(1, 4) == cot_exact(5, 4).promoted(8)
+
 
 class TestToRational:
-    def test_zero_element(self):
-        assert CyclotomicElement.zero().to_rational() == Fraction(0, 1)
-
     def test_rational_cot(self):
         assert cot_exact(1, 4).to_rational() == Fraction(1, 1)
 
@@ -309,16 +233,7 @@ class TestToRational:
             cot_exact(1, 6).to_rational()
         assert excinfo.value.index >= 1
 
-    @given(
-        value=st.fractions(
-            min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**6
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_round_trips_rationals(self, value):
-        assert CyclotomicElement.from_rational(value).to_rational() == value
-
     def test_embedding_at_higher_order_stays_rational(self):
-        x = Fraction(-7, 3)
-        promoted = CyclotomicElement.from_rational(x).promoted(12)
-        assert promoted.to_rational() == x
+        promoted = cot_exact(3, 4).promoted(24)  # cot(3*pi/4) = -1
+        assert promoted.order == 1
+        assert promoted.to_rational() == -1

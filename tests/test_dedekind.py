@@ -107,6 +107,13 @@ class TestCotangentSum:
         beta, alpha = pair
         assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha)
 
+    def test_irrational_remainder_fails_certification(self, monkeypatch):
+        # a sum with anything left past the constant term must not be returned
+        monkeypatch.setattr(dedekind, "_reduce_int_mod_phi", lambda vec, order: [0, 1])
+        dedekind._cot_sum.cache_clear()
+        with pytest.raises(RuntimeError, match="failed rationality certification"):
+            dedekind_cot(2, 5)
+
     def test_refuses_alpha_above_ceiling(self):
         with pytest.raises(DomainError, match=str(COT_ALPHA_MAX)):
             dedekind_cot(1, COT_ALPHA_MAX + 1)

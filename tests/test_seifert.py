@@ -37,10 +37,6 @@ class TestValidate:
         with pytest.raises(ValidationError, match="alpha"):
             validate(SeifertData(BaseSurface.S2, 0, ((1, 1),)))
 
-    def test_rejects_genus_mismatch(self):
-        with pytest.raises(ValidationError, match="genus"):
-            validate(SeifertData(BaseSurface.S2, genus=1))
-
     def test_base_accepts_string_spelling(self):
         assert SeifertData("T2").base is BaseSurface.T2
 
