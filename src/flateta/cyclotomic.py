@@ -20,9 +20,15 @@ integers underneath, in three steps:
   handful of nonzero terms (5 at N = 400, degree 160), and the division
   mod Phi_N loops over those alone.  Phi_N itself is built by the same
   division, from two-term factors x^d - 1.
-* **Integer cotangents.**  ``_cot_reduced`` gives cot(r*pi/n) as an integer
-  remainder mod Phi_M plus its denominator m, cached once; ``cot_exact``
-  builds an element from that pair without a conversion.
+* **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
+  M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
+  cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
+  i = zeta_M^(M/4): it is zeta_M^(M/4 mod 2) times a polynomial in
+  y = zeta_M^2, and its remainder mod Phi_M is zero at every exponent of
+  the other parity.  ``_cot_half`` builds only the deg(Phi_M)/2 entries
+  of that parity, as an integer remainder mod Phi_(M/2) in y plus its
+  denominator m, without a cache; ``cot_exact`` spreads them back onto
+  the power basis of Q(zeta_M), which needs no second reduction.
 * **Packed convolution (Kronecker substitution).**  An integer vector is
   packed into one int, ``sum v[i] * 2^(bits*i)``, so a polynomial product
   is one big-int multiplication.  The slot width is exact, not heuristic:
@@ -39,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import neg
 
 from .errors import CertificationError, DomainError, PoleError
 
@@ -207,6 +212,12 @@ class CyclotomicElement:
 
     __slots__ = ("order", "numerator", "denominator")
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            "CyclotomicElement has no public constructor: "
+            "cot_exact(k, n) returns its values"
+        )
+
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
 
@@ -304,34 +315,42 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
-    rem, m = _cot_reduced(k % n, n)
-    return _element(order, rem, m)
+    parity, half, m = _cot_half(k % n, n)
+    full = [0] * (2 * len(half))
+    full[parity::2] = half
+    return _element(order, full, m)
 
 
-@lru_cache(maxsize=None)
-def _cot_reduced(r: int, n: int) -> tuple[tuple[int, ...], int]:
-    """cot(r*pi/n) = rem(zeta_M) / m for 1 <= r < n, M = lcm(4, 2n): the
-    integer remainder rem, padded to deg(Phi_M) entries, and m."""
-    if 2 * r > n:  # cot(pi - x) = -cot(x)
-        rem, m = _cot_reduced(n - r, n)
-        return tuple(map(neg, rem)), m
+def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
+    """cot(r*pi/n) for r not a multiple of n, M = lcm(4, 2n), as the
+    triple (parity, half, m) with
+
+        m * cot(r*pi/n) = sum_j half[j] * zeta_M^(2j + parity),
+
+    parity = M/4 mod 2 and half the remainder mod Phi_(M/2) of a
+    polynomial in y = zeta_M^2 = zeta_(M/2), padded to deg(Phi_(M/2)) =
+    deg(Phi_M)/2 entries.  Since Phi_M(x) = Phi_(M/2)(x^2) (4 | M), the
+    remainder mod Phi_M is half spread onto the exponents of that parity.
+    """
     # With w = e^(2i*r*pi/n) = zeta_M^t, a primitive m-th root of unity,
     #   cot(r*pi/n) = i*(w + 1)/(w - 1)  and  1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
     # so m*cot = i*((m - 1) + sum_{j=1}^{m-1} (2j - 1)*w^j), with i = zeta_M^(M/4);
-    # this avoids a polynomial gcd per cotangent.
+    # this avoids a polynomial gcd per cotangent.  t is even (M/n is 2 or
+    # 4), so w = y^(t/2) and i = zeta_M^parity * y^(M/4 // 2).
     order = lcm(4, 2 * n)
     t = (r * (order // n)) % order
     m = order // gcd(order, t)
-    # zeta_M^(M/2) = -1 folds every exponent below M/2 before the division.
-    quarter, half = order // 4, order // 2
-    vec = [0] * half
-    vec[quarter] = m - 1
+    # y^(M/4) = -1 folds every exponent below M/4 before the division.
+    quarter, period, step = order // 4, order // 2, t // 2
+    vec = [0] * quarter
+    e = quarter // 2
+    vec[e] = m - 1
     for j in range(1, m):
-        e = (quarter + t * j) % order
-        if e < half:
+        e = (e + step) % period
+        if e < quarter:
             vec[e] += 2 * j - 1
         else:
-            vec[e - half] -= 2 * j - 1
-    rem = _reduce_int_mod_phi(vec, order)
-    degree = len(cyclotomic_polynomial(order)) - 1
-    return tuple(rem) + (0,) * (degree - len(rem)), m
+            vec[e - quarter] -= 2 * j - 1
+    half = _reduce_int_mod_phi(vec, period)
+    degree = len(cyclotomic_polynomial(period)) - 1
+    return quarter % 2, half + [0] * (degree - len(half)), m

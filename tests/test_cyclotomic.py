@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flateta import (
     CertificationError,
+    CyclotomicElement,
     DomainError,
     PoleError,
     cot_exact,
@@ -181,6 +182,22 @@ class TestRepresentation:
 
 
 class TestCotExact:
+    @pytest.mark.parametrize("args", [(), (12, [1])], ids=["no-arguments", "order-and-vector"])
+    def test_no_public_constructor(self, args):
+        with pytest.raises(TypeError, match="cot_exact"):
+            CyclotomicElement(*args)
+
+    @given(n=st.integers(1, 300), k=st.integers(-1000, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_nonzero_entries_share_the_parity_of_a_quarter_order(self, n, k):
+        # Phi_M(x) = Phi_(M/2)(x^2) and cot = zeta_M^(M/4) * (polynomial in
+        # zeta_M^2): what the Dedekind route's half rows rely on
+        assume(k % n)
+        elem = cot_exact(k, n)
+        assume(elem.order > 1)
+        quarter = math.lcm(4, 2 * n) // 4
+        assert all(j % 2 == quarter % 2 for j, c in enumerate(elem.numerator) if c)
+
     def test_cot_quarter_pi_is_one(self):
         assert cot_exact(1, 4).to_rational() == 1
 

@@ -107,6 +107,12 @@ class TestCotangentSum:
         beta, alpha = pair
         assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha)
 
+    @pytest.mark.parametrize("beta, alpha", [(7, 997), (3, 998), (7, 999), (7, 1000)])
+    def test_matches_sawtooth_oracle_near_ceiling(self, beta, alpha):
+        # one alpha per class mod 4, so both parities of M/4, where the
+        # slot bound (alpha//2 + 1) * deg * D^2 is largest
+        assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha)
+
     def test_irrational_remainder_fails_certification(self, monkeypatch):
         # a sum with anything left past the constant term must not be returned
         monkeypatch.setattr(dedekind, "_reduce_int_mod_phi", lambda vec, order: [0, 1])
@@ -124,7 +130,7 @@ class TestCotangentSum:
 @pytest.mark.parametrize(
     "module, names",
     [
-        (cyclotomic, {"cyclotomic_polynomial", "_cot_reduced"}),
+        (cyclotomic, {"cyclotomic_polynomial"}),
         (dedekind, {"_cot_sum", "_cot_table"}),
     ],
     ids=["cyclotomic", "dedekind"],
