@@ -10,7 +10,6 @@ from .cyclotomic import CyclotomicElement, cot_exact, cyclotomic_polynomial
 from .dedekind import dedekind_cot, dedekind_sawtooth, sawtooth
 from .errors import (
     AmbiguousToleranceError,
-    CertificationError,
     DescriptorSyntaxError,
     DomainError,
     FlatEtaError,
@@ -26,7 +25,6 @@ from .eta import (
     EtaResult,
     ObstructionReport,
     eta_flat,
-    is_integral,
     obstruction_report,
     predicted_signature,
 )
@@ -44,7 +42,6 @@ from .seifert import (
     SeifertData,
     euler_number,
     flat_catalog,
-    is_flat,
     orbifold_euler_characteristic,
     validate,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "AmbiguousToleranceError",
     "BaseSurface",
     "CatalogEntry",
-    "CertificationError",
     "CyclotomicElement",
     "DescriptorSyntaxError",
     "DomainError",
@@ -83,8 +79,6 @@ __all__ = [
     "eta_flat",
     "euler_number",
     "flat_catalog",
-    "is_flat",
-    "is_integral",
     "obstruction_report",
     "orbifold_euler_characteristic",
     "parse_descriptor",

@@ -6,13 +6,14 @@ modulo the N-th cyclotomic polynomial Phi_N, over the power basis
 an integer numerator vector over that basis and one positive
 denominator, in lowest terms.  Because the basis is a Q-basis, an
 element is a rational number exactly when every coefficient past the
-constant term vanishes, so rationality certification is a syntactic
-check.
+constant term vanishes: a rational value is stored at order 1, and
+:mod:`flateta.dedekind` certifies its sums rational by that same
+syntactic check.
 
 Nothing in this module rounds, and there is no field arithmetic on
 elements: ``cot_exact`` returns cot(k*pi/n) as an element that can be
-compared, promoted to a larger field, read as coefficients or certified
-rational, and that is all.  The one consumer of the arithmetic is
+compared, promoted to a larger field or read as coefficients, and that
+is all.  The one consumer of the arithmetic is
 :mod:`flateta.dedekind`, which sums products of exact cotangents on the
 integers underneath, in three steps:
 
@@ -46,7 +47,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 
-from .errors import CertificationError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 # Largest field order N this module builds, checked before any O(N) list
 # is allocated.  It is 4 * dedekind.COT_ALPHA_MAX: the Dedekind route works
@@ -202,9 +203,9 @@ class CyclotomicElement:
     ``sum(numerator[j] * zeta_N^j) / denominator``.  That form is unique
     for a given order, so ``==`` compares fields; elements of different
     orders compare in the field of the lcm of the orders, via ``promoted``.
-    A rational value is canonicalized down to order 1.  ``coefficients``
-    gives the deg(Phi_N) rational coefficients, ``to_rational`` the value
-    as a Fraction when it is rational.
+    A rational value is canonicalized down to order 1, so its value is
+    ``numerator[0] / denominator`` (0 for an empty numerator).
+    ``coefficients`` gives the deg(Phi_N) rational coefficients.
 
     >>> cot_exact(1, 6)
     <(2)*z^1 + (-1)*z^3 in Q(zeta_12)>
@@ -227,21 +228,6 @@ class CyclotomicElement:
         degree = len(cyclotomic_polynomial(self.order)) - 1
         padding = (Fraction(0),) * (degree - len(self.numerator))
         return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
-
-    def to_rational(self) -> Fraction:
-        """The element as a Fraction, or CertificationError if it is not one.
-
-        The error carries the index of the first nonzero non-constant
-        coefficient of the reduced representation.
-        """
-        for idx, c in enumerate(self.numerator[1:], 1):
-            if c:
-                raise CertificationError(
-                    f"element of Q(zeta_{self.order}) is not rational: "
-                    f"coefficient {idx} is {Fraction(c, self.denominator)}",
-                    index=idx,
-                )
-        return Fraction(self.numerator[0] if self.numerator else 0, self.denominator)
 
     def promoted(self, order: int) -> "CyclotomicElement":
         """The same value expressed in Q(zeta_order); order must be a
@@ -306,8 +292,8 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     Writes cot(theta) = i*(e^(i*theta) + e^(-i*theta)) / (e^(i*theta) -
     e^(-i*theta)) with e^(i*pi/n) = zeta_M^(M/(2n)) and i = zeta_M^(M/4).
 
-    >>> cot_exact(1, 4).to_rational()
-    Fraction(1, 1)
+    >>> cot_exact(1, 4)
+    <1 in Q(zeta_1)>
     """
     if n < 1:
         raise DomainError("cotangent denominator n must be >= 1")

@@ -31,18 +31,6 @@ class NotFlatError(DomainError):
     """Seifert data does not describe a flat manifold (e != 0 or chi_orb != 0)."""
 
 
-class CertificationError(FlatEtaError, ArithmeticError):
-    """A cyclotomic element expected to be rational is not.
-
-    Carries the index of the first offending coefficient in the reduced
-    representation.
-    """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 class ObstructionError(FlatEtaError):
     """A signature prediction was requested but the eta-invariant is not
     an integer, so no geometric filler exists."""

@@ -85,11 +85,6 @@ def eta_flat(s: SeifertData) -> EtaResult:
     )
 
 
-def is_integral(value) -> bool:
-    """Whether an exact rational is an integer (reduced denominator 1)."""
-    return Fraction(value).denominator == 1
-
-
 def predicted_signature(eta) -> int:
     """Signature of any hyperbolic 4-manifold bounded geometrically by a
     manifold with the given (integral) eta-invariant: sign(W) = -eta.

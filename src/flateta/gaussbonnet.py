@@ -46,6 +46,8 @@ def volume_from_chi(chi: int) -> VolumeValue:
     >>> volume_from_chi(1).approx
     '13.1594725348'
     """
+    if not isinstance(chi, int):
+        raise DomainError(f"chi must be an int, got {chi!r}")
     if chi < 1:
         raise DomainError(
             f"chi must be >= 1, got {chi}: finite-volume hyperbolic "

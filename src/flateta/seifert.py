@@ -40,7 +40,7 @@ class SeifertData:
 
     ``genus`` is read off the base (0 for S2, 1 for T2); fibers may be
     given as FiberPair instances or bare (alpha, beta) pairs.
-    Construction does not validate; see :func:`validate`.
+    Construction only checks the base; see :func:`validate` for the rest.
     """
 
     base: BaseSurface
@@ -48,8 +48,11 @@ class SeifertData:
     fibers: tuple[FiberPair, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.base, str):
-            object.__setattr__(self, "base", BaseSurface(self.base))
+        if not isinstance(self.base, BaseSurface):
+            try:
+                object.__setattr__(self, "base", BaseSurface(self.base))
+            except ValueError:
+                raise ValidationError(f"base must be 'S2' or 'T2', got {self.base!r}") from None
         object.__setattr__(
             self,
             "fibers",
@@ -66,7 +69,12 @@ def validate(s: SeifertData) -> SeifertData:
 
     Raises ValidationError naming the offending field otherwise.
     """
+    if not isinstance(s.b, int):
+        raise ValidationError(f"b must be an int, got {s.b!r}")
     for i, fiber in enumerate(s.fibers):
+        for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
+            if not isinstance(value, int):
+                raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
         if fiber.alpha < 2:
             raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")
         if gcd(fiber.alpha, fiber.beta) != 1:
@@ -93,12 +101,6 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     return _flatness(s)[1]
 
 
-def is_flat(s: SeifertData) -> bool:
-    """Whether the fibration carries a Euclidean (flat) geometry:
-    e = 0 and chi_orb = 0."""
-    return _flatness(s) == (0, 0)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """One orientable flat 3-manifold: name, holonomy label, Seifert data
@@ -113,7 +115,8 @@ class CatalogEntry:
 
 
 # Seifert presentations with orientable base; coefficients chosen so the
-# Euler number vanishes, which is re-checked by is_flat at catalog build.
+# Euler number vanishes, which eta_flat re-checks at catalog build (it
+# raises NotFlatError otherwise).
 _CATALOG_SHAPE = (
     (
         "G1",

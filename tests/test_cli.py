@@ -3,12 +3,16 @@
 import argparse
 import io
 import json
+import re
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flateta import (
     BaseSurface,
@@ -145,6 +149,69 @@ class TestParseDescriptor:
         samples += [e.seifert for e in flat_catalog() if e.seifert is not None]
         for data in samples:
             assert parse_descriptor(render_descriptor(data)) == data
+
+
+@st.composite
+def _fiber(draw):
+    alpha = draw(st.integers(2, 10**6))
+    beta = draw(st.integers(-(10**6), 10**6).filter(lambda beta: gcd(alpha, beta) == 1))
+    return FiberPair(alpha, beta)
+
+
+_SEIFERT_DATA = st.builds(
+    SeifertData,
+    st.sampled_from(BaseSurface),
+    st.integers(-(10**30), 10**30),
+    st.lists(_fiber(), max_size=6).map(tuple),
+)
+# str.isspace() characters, two of them more than one byte in UTF-8
+_WHITESPACE = st.text(alphabet=" \t\n\r\u00a0\u3000", max_size=3)
+# the descriptor's tokens: a base, "b", a signed integer, or one character
+_TOKEN = re.compile(r"[ST]2|b|[-+]?[0-9]+|.", re.DOTALL)
+
+
+@st.composite
+def _mutated(draw):
+    """A rendered descriptor after up to four random edits: truncation,
+    deletion, insertion or replacement of one character."""
+    text = render_descriptor(draw(_SEIFERT_DATA))
+    alphabet = st.sampled_from("ST2;b=(),+-0139 x\u00a0\u00b2\u0662")
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["truncate", "delete", "insert", "replace"]))
+        if edit == "truncate":
+            text = text[:pos]
+        elif edit == "insert":
+            text = text[:pos] + draw(alphabet) + text[pos:]
+        else:
+            text = text[:pos] + (draw(alphabet) if edit == "replace" else "") + text[pos + 1:]
+    return text
+
+
+class TestDescriptorGrammarProperties:
+    @given(data=_SEIFERT_DATA)
+    @settings(max_examples=200, deadline=None)
+    def test_valid_data_round_trips(self, data):
+        assert parse_descriptor(render_descriptor(data)) == data
+
+    @given(data=_SEIFERT_DATA, spacing=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_whitespace_between_tokens_is_ignored(self, data, spacing):
+        canonical = render_descriptor(data)
+        spaced = "".join(
+            spacing.draw(_WHITESPACE) + token for token in _TOKEN.findall(canonical)
+        ) + spacing.draw(_WHITESPACE)
+        assert render_descriptor(parse_descriptor(spaced)) == canonical
+
+    @given(text=_mutated())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_text_parses_or_fails_typed(self, text):
+        try:
+            parse_descriptor(text)
+        except DescriptorSyntaxError as exc:
+            assert 0 <= exc.offset <= len(text.encode())
+        except ValidationError:
+            pass
 
 
 class TestEtaCommand:

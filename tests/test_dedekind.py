@@ -120,6 +120,12 @@ class TestCotangentSum:
         with pytest.raises(RuntimeError, match="failed rationality certification"):
             dedekind_cot(2, 5)
 
+    @pytest.mark.parametrize("route", [dedekind_cot, dedekind_sawtooth])
+    @pytest.mark.parametrize("beta, alpha", [(1.5, 3), (1, 3.0), (Fraction(1), 3)])
+    def test_rejects_non_integer_arguments(self, route, beta, alpha):
+        with pytest.raises(DomainError, match="must be ints"):
+            route(beta, alpha)
+
     def test_refuses_alpha_above_ceiling(self):
         with pytest.raises(DomainError, match=str(COT_ALPHA_MAX)):
             dedekind_cot(1, COT_ALPHA_MAX + 1)

@@ -16,7 +16,6 @@ from flateta import (
     ValidationError,
     eta_flat,
     flat_catalog,
-    is_integral,
     obstruction_report,
     predicted_signature,
 )
@@ -61,6 +60,10 @@ class TestEtaFlat:
         with pytest.raises(ValidationError):
             eta_flat(SeifertData(BaseSurface.S2, 0, ((4, 2),)))
 
+    def test_rejects_non_integer_b(self):
+        with pytest.raises(ValidationError, match="b must be an int"):
+            eta_flat(SeifertData(BaseSurface.T2, "0"))
+
     def test_validates_once(self, monkeypatch):
         calls = []
         real = seifert.validate
@@ -96,20 +99,6 @@ class TestEtaFlat:
         for entry in flat_catalog():
             if entry.eta is not None:
                 assert 9 % entry.eta.denominator == 0, entry.name
-
-
-class TestIsIntegral:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (Fraction(-4, 3), False),
-            (Fraction(0), True),
-            (Fraction(10, 5), True),
-            (7, True),
-        ],
-    )
-    def test_values(self, value, expected):
-        assert is_integral(value) is expected
 
 
 class TestPredictedSignature:

@@ -33,6 +33,12 @@ class TestVolumeFromChi:
         with pytest.raises(DomainError):
             volume_from_chi(chi)
 
+    @pytest.mark.parametrize("chi", [1.5, 2.0, "3", Fraction(3)])
+    def test_non_integer_rejected(self, chi):
+        # the coefficient must stay an exact rational, never a float
+        with pytest.raises(DomainError, match="chi must be an int"):
+            volume_from_chi(chi)
+
     @pytest.mark.parametrize("chi", [1, 2, 17, 1000])
     def test_rendering_matches_coefficient(self, chi):
         value = volume_from_chi(chi)

@@ -8,11 +8,12 @@ import pytest
 from flateta import (
     BaseSurface,
     FiberPair,
+    NotFlatError,
     SeifertData,
     ValidationError,
+    eta_flat,
     euler_number,
     flat_catalog,
-    is_flat,
     orbifold_euler_characteristic,
     validate,
 )
@@ -40,8 +41,31 @@ class TestValidate:
     def test_base_accepts_string_spelling(self):
         assert SeifertData("T2").base is BaseSurface.T2
 
+    @pytest.mark.parametrize("base", ["X2", "s2", 2, None])
+    def test_unknown_base_is_validation_error(self, base):
+        # ValidationError is a ValueError, so `except ValueError` callers still catch it
+        with pytest.raises(ValidationError, match="base must be 'S2' or 'T2'") as excinfo:
+            SeifertData(base)
+        assert isinstance(excinfo.value, ValueError)
 
-@pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic, is_flat])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (SeifertData(BaseSurface.S2, 0.0), r"^b must be an int, got 0\.0$"),
+            (SeifertData(BaseSurface.S2, 0, ((2.0, 1),)), r"^fibers\[0\]: alpha must be an int"),
+            (
+                SeifertData(BaseSurface.S2, 0, ((2, 1), (3, 1.0))),
+                r"^fibers\[1\]: beta must be an int",
+            ),
+        ],
+        ids=["b", "alpha", "beta"],
+    )
+    def test_rejects_non_integer_fields(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            validate(data)
+
+
+@pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic])
 def test_invariants_reject_invalid_data(invariant):
     with pytest.raises(ValidationError, match=r"gcd\(4,2\)"):
         invariant(SeifertData(BaseSurface.S2, 0, ((4, 2),)))
@@ -73,18 +97,26 @@ class TestOrbifoldEulerCharacteristic:
 
 
 class TestIsFlat:
+    """The flatness check, e = 0 and chi_orb = 0, which eta_flat applies
+    before any Dedekind sum."""
+
     def test_catalog_example(self):
-        assert is_flat(G5_DATA)
+        assert eta_flat(G5_DATA).value == Fraction(-4, 3)
 
     def test_torus(self):
-        assert is_flat(TORUS)
+        assert eta_flat(TORUS).value == 0
 
     def test_nonzero_euler_number(self):
-        assert not is_flat(SeifertData(BaseSurface.S2, 0, ((2, 1), (3, 1), (6, 1))))
+        # chi_orb = 0 but e = -1
+        with pytest.raises(NotFlatError) as excinfo:
+            eta_flat(SeifertData(BaseSurface.S2, 0, ((2, 1), (3, 1), (6, 1))))
+        assert str(excinfo.value) == "not flat: e = -1"
 
     def test_nonzero_orbifold_characteristic(self):
         # e = 0 but the base orbifold is spherical
-        assert not is_flat(SeifertData(BaseSurface.S2, 0, ()))
+        with pytest.raises(NotFlatError) as excinfo:
+            eta_flat(SeifertData(BaseSurface.S2, 0, ()))
+        assert str(excinfo.value) == "not flat: chi_orb = 2"
 
 
 class TestPermutationAndMoveInvariance:
@@ -117,10 +149,11 @@ class TestCatalog:
             "Z2xZ2",
         ]
 
-    def test_every_presented_entry_is_flat(self):
+    def test_every_presented_entry_has_flat_invariants(self):
         for entry in flat_catalog():
             if entry.seifert is not None:
-                assert is_flat(entry.seifert), entry.name
+                assert euler_number(entry.seifert) == 0, entry.name
+                assert orbifold_euler_characteristic(entry.seifert) == 0, entry.name
 
     def test_eta_values(self):
         etas = {e.name: e.eta for e in flat_catalog()}
