@@ -22,9 +22,11 @@ from .errors import (
 )
 from .eta import (
     MULTI_CUSP_NOTE,
+    CatalogEntry,
     EtaResult,
     ObstructionReport,
     eta_flat,
+    flat_catalog,
     obstruction_report,
     predicted_signature,
 )
@@ -37,15 +39,15 @@ from .gaussbonnet import (
 )
 from .seifert import (
     BaseSurface,
-    CatalogEntry,
     FiberPair,
     SeifertData,
     euler_number,
-    flat_catalog,
     orbifold_euler_characteristic,
+    parse_descriptor,
+    render_descriptor,
     validate,
 )
-from .cli import parse_descriptor, render_descriptor, run
+from .cli import run
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,5 @@
-"""Command line surface.
+"""Command line surface: argv in, text out (descriptor text is read and
+written by :mod:`flateta.seifert`).
 
 Subcommands: eta, obstruct, dedekind, catalog, gauss-bonnet.  Results go
 to stdout, error text to stderr.  Exit codes: 0 success, 1 usage or
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import string
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -33,107 +33,11 @@ from .errors import (
     ObstructionError,
     UsageError,
 )
-from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, obstruction_report
+from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
 from .gaussbonnet import chi_from_volume, volume_from_chi
-from .seifert import BaseSurface, FiberPair, SeifertData, flat_catalog, validate
+from .seifert import SeifertData, parse_descriptor, render_descriptor
 
 SCHEMA_VERSION = "1"
-
-
-# ---------------------------------------------------------------------------
-# Seifert descriptor grammar
-#
-#   descriptor := base ";" [ "b=" integer ";" ] fibers
-#   base       := "S2" | "T2"
-#   fibers     := "" | pair { pair }
-#   pair       := "(" integer "," integer ")"
-#   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
-#
-# b defaults to 0; whitespace is ignored everywhere.  Error offsets are
-# UTF-8 byte offsets.
-# ---------------------------------------------------------------------------
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def fail(self, message: str):
-        # Only ASCII and str.isspace() characters precede pos, so this encodes.
-        raise DescriptorSyntaxError(message, len(self.text[: self.pos].encode()))
-
-    def try_consume(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.try_consume(literal):
-            self.fail(f"expected {literal!r}")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits_from = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in string.digits:
-            self.pos += 1
-        if self.pos == digits_from:
-            self.pos = start
-            self.fail("expected an integer")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past int()'s digit limit
-            self.pos = start
-            self.fail("integer has too many digits")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def parse_descriptor(text: str) -> SeifertData:
-    """Parse a Seifert descriptor such as 'S2;(2,1)(3,-1)(6,-1)' or
-    'T2;' or 'S2;b=-1;(2,1)'.  The result is validated."""
-    sc = _Scanner(text)
-    if sc.try_consume("S2"):
-        base = BaseSurface.S2
-    elif sc.try_consume("T2"):
-        base = BaseSurface.T2
-    else:
-        sc.fail("expected base 'S2' or 'T2'")
-    sc.expect(";")
-    b = 0
-    if sc.try_consume("b"):
-        sc.expect("=")
-        b = sc.integer()
-        sc.expect(";")
-    fibers = []
-    while not sc.at_end():
-        sc.expect("(")
-        alpha = sc.integer()
-        sc.expect(",")
-        beta = sc.integer()
-        sc.expect(")")
-        fibers.append(FiberPair(alpha, beta))
-    return validate(SeifertData(base, b, tuple(fibers)))
-
-
-def render_descriptor(s: SeifertData) -> str:
-    """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s."""
-    parts = [s.base.value, ";"]
-    if s.b:
-        parts.append(f"b={s.b};")
-    parts.extend(f"({f.alpha},{f.beta})" for f in s.fibers)
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

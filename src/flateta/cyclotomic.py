@@ -15,7 +15,8 @@ elements: ``cot_exact`` returns cot(k*pi/n) as an element that can be
 compared, promoted to a larger field or read as coefficients, and that
 is all.  The one consumer of the arithmetic is
 :mod:`flateta.dedekind`, which sums products of exact cotangents on the
-integers underneath, in three steps:
+integers underneath with a packed convolution of its own.  This module
+gives it two things:
 
 * **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
   handful of nonzero terms (5 at N = 400, degree 160), and the division
@@ -26,25 +27,17 @@ integers underneath, in three steps:
   cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
   i = zeta_M^(M/4): it is zeta_M^(M/4 mod 2) times a polynomial in
   y = zeta_M^2, and its remainder mod Phi_M is zero at every exponent of
-  the other parity.  ``_cot_half`` builds only the deg(Phi_M)/2 entries
-  of that parity, as an integer remainder mod Phi_(M/2) in y plus its
-  denominator m, without a cache; ``cot_exact`` spreads them back onto
-  the power basis of Q(zeta_M), which needs no second reduction.
-* **Packed convolution (Kronecker substitution).**  An integer vector is
-  packed into one int, ``sum v[i] * 2^(bits*i)``, so a polynomial product
-  is one big-int multiplication.  The slot width is exact, not heuristic:
-  when every coefficient of the (summed) product has absolute value at
-  most B and ``B < 2^(bits-1)``, each slot holds its balanced digit in
-  (-2^(bits-1), 2^(bits-1)) without carrying into the next, so the digits
-  read back are exactly the coefficients; anything left above the top
-  slot would mean the bound was broken and is an internal error.
+  the other parity.  ``_cot_half`` builds only the entries of that
+  parity, at most deg(Phi_M)/2 of them, as an integer remainder mod
+  Phi_(M/2) in y plus its denominator m, without a cache; ``cot_exact``
+  spreads them back onto the power basis of Q(zeta_M), which needs no
+  second reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
 
 from .errors import DomainError, PoleError
@@ -56,6 +49,8 @@ FIELD_ORDER_MAX = 4000
 
 
 def _check_order(order: int) -> None:
+    if not isinstance(order, int):
+        raise DomainError(f"order must be an int, got {order!r}")
     if order < 1:
         raise DomainError("order must be >= 1")
     if order > FIELD_ORDER_MAX:
@@ -96,7 +91,7 @@ def _divmod_monic_int(num: list[int], den: list[int]) -> tuple[list[int], list[i
     return _trim(quot), _trim(num[:dd])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float order is refused, never a hit
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """The cyclotomic polynomial Phi_N as an ascending coefficient tuple.
 
@@ -142,50 +137,6 @@ def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
     """Reduce an integer polynomial of any degree modulo Phi_order."""
     _, rem = _divmod_monic_int(vec, list(cyclotomic_polynomial(order)))
     return rem
-
-
-# ---------------------------------------------------------------------------
-# packed integer convolution (Kronecker substitution)
-# ---------------------------------------------------------------------------
-
-
-def _slot_bits(bound: int) -> int:
-    """Slot width, in whole bytes, for packed vectors whose product sums
-    have every coefficient of absolute value at most ``bound``: a slot
-    holds any value in (-2^(bits-1), 2^(bits-1)), so no slot carries."""
-    return ((bound.bit_length() + 1 + 7) // 8) * 8
-
-
-def _bias(slots: int, bits: int) -> int:
-    """2^(bits-1) in every one of ``slots`` slots."""
-    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _pack(vec, bits: int) -> int:
-    """The integer sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1):
-    each entry is written biased into its own bytes, then the bias is
-    taken off again (negative entries borrow from the slot above)."""
-    half = 1 << (bits - 1)
-    raw = b"".join(map(int.to_bytes, map(half.__add__, vec),
-                       repeat(bits // 8), repeat("little")))
-    return int.from_bytes(raw, "little") - _bias(len(vec), bits)
-
-
-def _unpack(packed: int, slots: int, bits: int) -> list[int]:
-    """Balanced digits of a packed value, lowest slot first.
-
-    Adding 2^(bits-1) to every slot makes each digit non-negative, so the
-    digits are plain bytes; anything left above the top slot means a slot
-    overflowed, which the slot width rules out.
-    """
-    width = bits // 8
-    biased = packed + _bias(slots, bits)
-    if biased < 0 or biased >> (slots * bits):
-        raise RuntimeError("internal error: packed convolution overflowed its slots")
-    raw = biased.to_bytes(slots * width, "little")
-    half = 1 << (bits - 1)
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, slots * width, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +187,11 @@ class CyclotomicElement:
         A rational value stays at order 1: its vector is the same in
         every field, which is all ``==`` needs.
         """
+        _check_order(order)
         if order % self.order:
             raise DomainError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
         if order == self.order or self.order == 1:
             return self
-        _check_order(order)
         step = order // self.order
         spread = [0] * ((len(self.numerator) - 1) * step + 1)
         spread[::step] = self.numerator
@@ -295,6 +246,8 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     >>> cot_exact(1, 4)
     <1 in Q(zeta_1)>
     """
+    if not (isinstance(k, int) and isinstance(n, int)):
+        raise DomainError(f"k and n must be ints, got {k!r} and {n!r}")
     if n < 1:
         raise DomainError("cotangent denominator n must be >= 1")
     if k % n == 0:
@@ -313,10 +266,10 @@ def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
 
         m * cot(r*pi/n) = sum_j half[j] * zeta_M^(2j + parity),
 
-    parity = M/4 mod 2 and half the remainder mod Phi_(M/2) of a
-    polynomial in y = zeta_M^2 = zeta_(M/2), padded to deg(Phi_(M/2)) =
-    deg(Phi_M)/2 entries.  Since Phi_M(x) = Phi_(M/2)(x^2) (4 | M), the
-    remainder mod Phi_M is half spread onto the exponents of that parity.
+    parity = M/4 mod 2 and half the trimmed remainder mod Phi_(M/2) of a
+    polynomial in y = zeta_M^2 = zeta_(M/2), empty for cot(pi/2) = 0.
+    Since Phi_M(x) = Phi_(M/2)(x^2) (4 | M), the remainder mod Phi_M is
+    half spread onto the exponents of that parity.
     """
     # With w = e^(2i*r*pi/n) = zeta_M^t, a primitive m-th root of unity,
     #   cot(r*pi/n) = i*(w + 1)/(w - 1)  and  1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
@@ -337,6 +290,4 @@ def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
             vec[e] += 2 * j - 1
         else:
             vec[e - quarter] -= 2 * j - 1
-    half = _reduce_int_mod_phi(vec, period)
-    degree = len(cyclotomic_polynomial(period)) - 1
-    return quarter % 2, half + [0] * (degree - len(half)), m
+    return quarter % 2, _reduce_int_mod_phi(vec, period), m

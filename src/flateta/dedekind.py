@@ -13,38 +13,38 @@ evaluated exactly in a cyclotomic field.  The two must agree on every
 coprime pair; the sawtooth route is deliberately kept free of any shared
 machinery so it can serve as an oracle for the cotangent route.
 
-The cotangent route runs on integers (see :mod:`flateta.cyclotomic`).
-Every cotangent in Q(zeta_M), M = lcm(4, 2*alpha), is zeta_M^parity,
-parity = M/4 mod 2, times a polynomial in y = zeta_M^2 = zeta_(M/2)
-reduced mod Phi_(M/2); the entries of the other parity are zero, because
-Phi_M(x) = Phi_(M/2)(x^2).  ``_cot_table`` holds those half rows, the
-deg Phi_(M/2) = deg(Phi_M)/2 coefficients in y of cot(k*pi/alpha) for
-every k, over one shared denominator, each packed into one int.  With D
-the largest |coefficient| of the table and deg = deg Phi_(M/2), a
-coefficient of the sum in ``_cot_sum`` is a sum of at most alpha/2 pairs
-of rows times deg products, so its absolute value is at most
-(alpha//2 + 1) * deg * D^2; the slot width is chosen with that bound
-below 2^(bits-1), so the alpha/2 big-int multiply-adds never carry
-between slots.  The sum is unpacked once, multiplied by y when parity is
-1 (the two factors zeta_M^parity make y^parity), reduced once mod
-Phi_(M/2) and certified rational before it is returned; its constant
-term is that of the sum in Q(zeta_M).  The route is refused above
-``COT_ALPHA_MAX``.
+The cotangent route runs on integers.  Each cotangent in Q(zeta_M),
+M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
+row: at most deg = deg Phi_(M/2) integer coefficients in y = zeta_M^2,
+reduced mod Phi_(M/2) (see :mod:`flateta.cyclotomic`).  ``_cot_table``
+holds the half rows of cot(k*pi/alpha) for every k over one shared
+denominator, each packed into one int ``sum v[i] * 2^(bits*i)``
+(Kronecker substitution), so a polynomial product is one big-int
+multiplication.  The slot width is exact, not heuristic: with D the
+largest |coefficient| of the table, a coefficient of the sum in
+``_cot_sum`` adds at most alpha/2 pairs of rows times deg products, so
+its absolute value is at most (alpha//2 + 1) * deg * D^2; with that
+bound below 2^(bits-1), each slot holds its balanced digit in
+(-2^(bits-1), 2^(bits-1)) without carrying into the next, so the digits
+read back are exactly the coefficients, and anything left above the top
+slot is an internal error.  The sum is unpacked once, multiplied by y
+when parity is 1 (the two factors zeta_M^parity make y^parity), reduced
+once mod Phi_(M/2) and certified rational before it is returned; its
+constant term is that of the sum in Q(zeta_M).  The route is refused
+above ``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 
 from .cyclotomic import (
     FIELD_ORDER_MAX,
     _cot_half,
-    _pack,
     _reduce_int_mod_phi,
-    _slot_bits,
-    _unpack,
     cyclotomic_polynomial,
 )
 from .errors import DomainError
@@ -115,17 +115,53 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     return _cot_sum(beta % alpha, alpha)
 
 
+def _slot_bits(bound: int) -> int:
+    """Slot width, in whole bytes, for packed vectors whose product sums
+    have every coefficient of absolute value at most ``bound``: a slot
+    holds any value in (-2^(bits-1), 2^(bits-1)), so no slot carries."""
+    return ((bound.bit_length() + 1 + 7) // 8) * 8
+
+
+def _bias(slots: int, bits: int) -> int:
+    """2^(bits-1) in every one of ``slots`` slots."""
+    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(vec, bits: int) -> int:
+    """The integer sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1):
+    each entry is written biased into its own bytes, then the bias is
+    taken off again (negative entries borrow from the slot above)."""
+    half = 1 << (bits - 1)
+    raw = b"".join(map(int.to_bytes, map(half.__add__, vec),
+                       repeat(bits // 8), repeat("little")))
+    return int.from_bytes(raw, "little") - _bias(len(vec), bits)
+
+
+def _unpack(packed: int, slots: int, bits: int) -> list[int]:
+    """Balanced digits of a packed value, lowest slot first.
+
+    Adding 2^(bits-1) to every slot makes each digit non-negative, so the
+    digits are plain bytes; anything left above the top slot means a slot
+    overflowed, which the slot width rules out.
+    """
+    width = bits // 8
+    biased = packed + _bias(slots, bits)
+    if biased < 0 or biased >> (slots * bits):
+        raise RuntimeError("internal error: packed convolution overflowed its slots")
+    raw = biased.to_bytes(slots * width, "little")
+    half = 1 << (bits - 1)
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, slots * width, width)]
+
+
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    order, parity, den, bits, rows = _cot_table(alpha)
+    order, parity, den, bits, degree, rows = _cot_table(alpha)
     # Pair k with alpha-k: equal terms, so sum halves and doubles at the
     # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
     packed = 0
     for k in range(1, (alpha + 1) // 2):
         packed += rows[k * beta % alpha] * rows[k]
-    # One unpacking, times y^parity, and one reduction mod Phi_(M/2) for
-    # the whole sum.
-    degree = len(cyclotomic_polynomial(order // 2)) - 1
     product = _unpack(packed, 2 * degree - 1, bits)
     if parity:
         product.insert(0, 0)
@@ -142,23 +178,22 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+def _cot_table(alpha: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
     """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
-    as half rows (their deg Phi_(M/2) coefficients in y = zeta_M^2, see
-    the module docstring) over one shared denominator, each packed into
-    one int at a slot width that no sum in ``_cot_sum`` can carry out of.
+    as packed half rows over one shared denominator (see the module
+    docstring for both and for the slot width).
 
-    Returns (M, parity, denominator, slot bits, rows) with rows 1-indexed.
+    Returns (M, parity, denominator, slot bits, deg Phi_(M/2), rows) with
+    rows 1-indexed.
     """
     order = lcm(4, 2 * alpha)
+    degree = len(cyclotomic_polynomial(order // 2)) - 1
     # cot(pi - x) = -cot(x): compute k <= alpha/2, negate the packed rest.
     cots = [_cot_half(k, alpha) for k in range(1, alpha // 2 + 1)]
     parity = cots[0][0]  # M/4 mod 2, the same for every row
     den = lcm(*(m for _, _, m in cots))
     vectors = [[c * (den // m) for c in half] for _, half, m in cots]
-    top = max(max(map(abs, vec)) for vec in vectors)
-    # A slot of the sum in _cot_sum adds at most alpha//2 pairs of rows,
-    # each contributing at most deg Phi_(M/2) products of two coefficients.
-    bits = _slot_bits((alpha // 2 + 1) * len(vectors[0]) * top * top)
+    top = max(max(map(abs, vec), default=0) for vec in vectors)
+    bits = _slot_bits((alpha // 2 + 1) * degree * top * top)
     rows = [_pack(vec, bits) for vec in vectors]
-    return order, parity, den, bits, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    return order, parity, den, bits, degree, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

@@ -12,7 +12,8 @@ vanishing Pontryagin term, so eta must be an integer; the same
 integrality holds when M is the cusp cross-section of a one-cusped
 finite-volume hyperbolic 4-manifold.  A non-integral eta therefore
 obstructs both roles, and an integral eta pins down the signature any
-such W must have.
+such W must have.  ``flat_catalog`` lists the six orientable flat
+3-manifolds with the eta computed here.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import dedekind_cot
-from .errors import NotFlatError, ObstructionError
-from .seifert import FiberPair, SeifertData, _flatness
+from .errors import DomainError, NotFlatError, ObstructionError
+from .seifert import BaseSurface, FiberPair, SeifertData, _flatness
 
 # The cusp obstruction only applies to one-cusped fillings; every flat
 # 3-manifold is known to appear as a cusp cross-section if several cusps
@@ -94,7 +95,10 @@ def predicted_signature(eta) -> int:
     hyperbolic manifolds are conformally flat), so the boundary term is
     the whole story.
     """
-    value = Fraction(eta)
+    try:
+        value = Fraction(eta)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"eta must be a rational number, got {eta!r}") from None
     if value.denominator != 1:
         raise ObstructionError(
             f"eta = {value} is not an integer; no geometric filler exists"
@@ -114,3 +118,85 @@ def obstruction_report(s: SeifertData) -> ObstructionReport:
         one_cusped_cross_section_obstructed=obstructed,
         predicted_signature=signature,
     )
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One orientable flat 3-manifold: name, holonomy label, Seifert data
+    over an orientable base when one exists, and its eta-invariant."""
+
+    name: str
+    holonomy: str
+    seifert: SeifertData | None
+    eta: Fraction | None
+    eta_integral: bool
+    note: str
+
+
+# Seifert presentations with orientable base; coefficients chosen so the
+# Euler number vanishes, which eta_flat re-checks at catalog build (it
+# raises NotFlatError otherwise).
+_CATALOG_SHAPE = (
+    (
+        "G1",
+        "trivial",
+        SeifertData(BaseSurface.T2),
+        "3-torus: circle bundle over T2, no exceptional fibers.",
+    ),
+    (
+        "G2",
+        "Z2",
+        SeifertData(BaseSurface.S2, 0, ((2, 1), (2, 1), (2, -1), (2, -1))),
+        "Fibers over the S2(2,2,2,2) orbifold.",
+    ),
+    (
+        "G3",
+        "Z3",
+        SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1))),
+        "Unique orientable flat manifold fibering over S2(3,3,3); "
+        "eta is not an integer.",
+    ),
+    (
+        "G4",
+        "Z4",
+        SeifertData(BaseSurface.S2, 0, ((2, 1), (4, -1), (4, -1))),
+        "Fibers over the S2(2,4,4) orbifold.",
+    ),
+    (
+        "G5",
+        "Z6",
+        SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1))),
+        "Unique orientable flat manifold fibering over S2(2,3,6); "
+        "eta is not an integer.",
+    ),
+    (
+        "G6",
+        "Z2xZ2",
+        None,
+        "Hantzsche-Wendt manifold: its Seifert fibration has a "
+        "non-orientable base orbifold, outside this data model, so no eta "
+        "value is computed here; the eta-invariant is known to be an "
+        "integer.  Counting note: some sources speak of seven orientable "
+        "flat 3-manifolds, but the classification has exactly six, all "
+        "listed in this catalog.",
+    ),
+)
+
+
+def flat_catalog() -> list[CatalogEntry]:
+    """The six orientable flat 3-manifolds G1..G6.
+
+    Eta values for G1..G5 are computed (not tabulated) from their Seifert
+    data; G6 carries no computable presentation here and records only the
+    known integrality of its eta-invariant.
+    """
+    entries = []
+    for name, holonomy, seifert, note in _CATALOG_SHAPE:
+        if seifert is None:
+            entries.append(CatalogEntry(name, holonomy, None, None, True, note))
+        else:
+            result = eta_flat(seifert)
+            entries.append(
+                CatalogEntry(name, holonomy, seifert, result.value, result.integral, note)
+            )
+    return entries

@@ -57,6 +57,19 @@ def volume_from_chi(chi: int) -> VolumeValue:
     return VolumeValue(coefficient=coefficient, approx=_render(coefficient))
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float, or DomainError naming ``name``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {number}")
+    return number
+
+
 def chi_from_volume(volume, tolerance=1e-6) -> int:
     """The unique positive integer chi with |volume - (4*pi^2/3)*chi| <=
     tolerance.
@@ -65,12 +78,8 @@ def chi_from_volume(volume, tolerance=1e-6) -> int:
     AmbiguousToleranceError when the tolerance is so large that more than
     one does.
     """
-    vol = float(volume)
-    tol = float(tolerance)
-    if not math.isfinite(vol):
-        raise DomainError(f"volume must be finite, got {vol}")
-    if not math.isfinite(tol):
-        raise DomainError(f"tolerance must be finite, got {tol}")
+    vol = _finite("volume", volume)
+    tol = _finite("tolerance", tolerance)
     if vol <= 0:
         raise DomainError(f"volume must be positive, got {vol}")
     if tol <= 0:

@@ -2,19 +2,21 @@
 
 Data model restricted to orientable base surfaces S^2 and T^2, which
 covers every orientable flat 3-manifold that admits a Seifert fibration
-over an orientable base.  A fibration carries a Euclidean geometry
-exactly when both its Euler number e = -(b + sum beta_i/alpha_i) and the
-orbifold Euler characteristic of the base vanish.
+over an orientable base, and its descriptor text such as
+'S2;(2,1)(3,-1)(6,-1)' (grammar below).  A fibration carries a Euclidean
+geometry exactly when both its Euler number e = -(b + sum beta_i/alpha_i)
+and the orbifold Euler characteristic of the base vanish.
 """
 
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ValidationError
+from .errors import DescriptorSyntaxError, ValidationError
 
 
 class BaseSurface(enum.Enum):
@@ -40,7 +42,8 @@ class SeifertData:
 
     ``genus`` is read off the base (0 for S2, 1 for T2); fibers may be
     given as FiberPair instances or bare (alpha, beta) pairs.
-    Construction only checks the base; see :func:`validate` for the rest.
+    Construction only checks the base and that the fibers are pairs; see
+    :func:`validate` for the rest.
     """
 
     base: BaseSurface
@@ -53,11 +56,13 @@ class SeifertData:
                 object.__setattr__(self, "base", BaseSurface(self.base))
             except ValueError:
                 raise ValidationError(f"base must be 'S2' or 'T2', got {self.base!r}") from None
-        object.__setattr__(
-            self,
-            "fibers",
-            tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in self.fibers),
-        )
+        try:
+            fibers = tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in self.fibers)
+        except TypeError:
+            raise ValidationError(
+                f"fibers must be (alpha, beta) pairs, got {self.fibers!r}"
+            ) from None
+        object.__setattr__(self, "fibers", fibers)
 
     @property
     def genus(self) -> int:
@@ -101,85 +106,97 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     return _flatness(s)[1]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One orientable flat 3-manifold: name, holonomy label, Seifert data
-    over an orientable base when one exists, and its eta-invariant."""
-
-    name: str
-    holonomy: str
-    seifert: SeifertData | None
-    eta: Fraction | None
-    eta_integral: bool
-    note: str
-
-
-# Seifert presentations with orientable base; coefficients chosen so the
-# Euler number vanishes, which eta_flat re-checks at catalog build (it
-# raises NotFlatError otherwise).
-_CATALOG_SHAPE = (
-    (
-        "G1",
-        "trivial",
-        SeifertData(BaseSurface.T2),
-        "3-torus: circle bundle over T2, no exceptional fibers.",
-    ),
-    (
-        "G2",
-        "Z2",
-        SeifertData(BaseSurface.S2, 0, ((2, 1), (2, 1), (2, -1), (2, -1))),
-        "Fibers over the S2(2,2,2,2) orbifold.",
-    ),
-    (
-        "G3",
-        "Z3",
-        SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1))),
-        "Unique orientable flat manifold fibering over S2(3,3,3); "
-        "eta is not an integer.",
-    ),
-    (
-        "G4",
-        "Z4",
-        SeifertData(BaseSurface.S2, 0, ((2, 1), (4, -1), (4, -1))),
-        "Fibers over the S2(2,4,4) orbifold.",
-    ),
-    (
-        "G5",
-        "Z6",
-        SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1))),
-        "Unique orientable flat manifold fibering over S2(2,3,6); "
-        "eta is not an integer.",
-    ),
-    (
-        "G6",
-        "Z2xZ2",
-        None,
-        "Hantzsche-Wendt manifold: its Seifert fibration has a "
-        "non-orientable base orbifold, outside this data model, so no eta "
-        "value is computed here; the eta-invariant is known to be an "
-        "integer.  Counting note: some sources speak of seven orientable "
-        "flat 3-manifolds, but the classification has exactly six, all "
-        "listed in this catalog.",
-    ),
-)
+# ---------------------------------------------------------------------------
+# Seifert descriptor grammar
+#
+#   descriptor := base ";" [ "b=" integer ";" ] fibers
+#   base       := "S2" | "T2"
+#   fibers     := "" | pair { pair }
+#   pair       := "(" integer "," integer ")"
+#   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
+#
+# b defaults to 0; whitespace is ignored everywhere.  Error offsets are
+# UTF-8 byte offsets.
+# ---------------------------------------------------------------------------
 
 
-def flat_catalog() -> list[CatalogEntry]:
-    """The six orientable flat 3-manifolds G1..G6.
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
 
-    Eta values for G1..G5 are computed (not tabulated) from their Seifert
-    data; G6 carries no computable presentation here and records only the
-    known integrality of its eta-invariant.
-    """
-    from .eta import eta_flat  # deferred: eta builds on this module
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
 
-    entries = []
-    for name, holonomy, seifert, note in _CATALOG_SHAPE:
-        if seifert is None:
-            entries.append(CatalogEntry(name, holonomy, None, None, True, note))
-        else:
-            result = eta_flat(seifert)
-            entries.append(
-                CatalogEntry(name, holonomy, seifert, result.value, result.integral, note)
-            )
-    return entries
+    def fail(self, message: str):
+        # Only ASCII and str.isspace() characters precede pos, so this encodes.
+        raise DescriptorSyntaxError(message, len(self.text[: self.pos].encode()))
+
+    def try_consume(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect(self, literal: str) -> None:
+        if not self.try_consume(literal):
+            self.fail(f"expected {literal!r}")
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits_from = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in string.digits:
+            self.pos += 1
+        if self.pos == digits_from:
+            self.pos = start
+            self.fail("expected an integer")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past int()'s digit limit
+            self.pos = start
+            self.fail("integer has too many digits")
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+def parse_descriptor(text: str) -> SeifertData:
+    """Parse a Seifert descriptor such as 'S2;(2,1)(3,-1)(6,-1)' or
+    'T2;' or 'S2;b=-1;(2,1)'.  The result is validated."""
+    sc = _Scanner(text)
+    if sc.try_consume("S2"):
+        base = BaseSurface.S2
+    elif sc.try_consume("T2"):
+        base = BaseSurface.T2
+    else:
+        sc.fail("expected base 'S2' or 'T2'")
+    sc.expect(";")
+    b = 0
+    if sc.try_consume("b"):
+        sc.expect("=")
+        b = sc.integer()
+        sc.expect(";")
+    fibers = []
+    while not sc.at_end():
+        sc.expect("(")
+        alpha = sc.integer()
+        sc.expect(",")
+        beta = sc.integer()
+        sc.expect(")")
+        fibers.append(FiberPair(alpha, beta))
+    return validate(SeifertData(base, b, tuple(fibers)))
+
+
+def render_descriptor(s: SeifertData) -> str:
+    """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s."""
+    parts = [s.base.value, ";"]
+    if s.b:
+        parts.append(f"b={s.b};")
+    parts.extend(f"({f.alpha},{f.beta})" for f in s.fibers)
+    return "".join(parts)

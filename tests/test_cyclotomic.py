@@ -17,8 +17,8 @@ from flateta import (
     cot_exact,
     cyclotomic_polynomial,
 )
-from flateta.cyclotomic import FIELD_ORDER_MAX, _pack, _slot_bits, _unpack
-from flateta.dedekind import COT_ALPHA_MAX
+from flateta.cyclotomic import FIELD_ORDER_MAX
+from flateta.dedekind import COT_ALPHA_MAX, _pack, _slot_bits, _unpack
 
 from helpers import embed_complex, embed_mp
 

@@ -1,6 +1,12 @@
-"""The package namespace: what ``from flateta import *`` exports."""
+"""The package namespace: what ``from flateta import *`` exports, and
+how its public calls answer hostile arguments."""
+
+import threading
+
+import pytest
 
 import flateta
+from flateta import DomainError, FlatEtaError, SeifertData, ValidationError
 
 
 def test_all_lists_each_name_once():
@@ -13,3 +19,50 @@ def test_all_names_resolve():
     namespace = {}
     exec("from flateta import *", namespace)
     assert set(flateta.__all__) <= set(namespace)
+
+
+# Hostile library calls, each of which once escaped as a bare TypeError or
+# ValueError, or never returned (a float order stepped the factor loop of
+# cyclotomic_polynomial forever).  (call, error class, text the message holds)
+HOSTILE_CALLS = {
+    "polynomial_float_order": (lambda: flateta.cyclotomic_polynomial(2.5), DomainError, "order"),
+    "polynomial_str_order": (lambda: flateta.cyclotomic_polynomial("12"), DomainError, "order"),
+    "promoted_float_order": (lambda: flateta.cot_exact(1, 3).promoted(24.0), DomainError, "order"),
+    "promoted_str_order": (lambda: flateta.cot_exact(1, 3).promoted("24"), DomainError, "order"),
+    "cot_float_k": (lambda: flateta.cot_exact(1.5, 3), DomainError, "k and n"),
+    "cot_float_n": (lambda: flateta.cot_exact(1, 2.5), DomainError, "k and n"),
+    "fiber_missing_beta": (lambda: SeifertData("S2", 0, ((2,),)), ValidationError, "fibers"),
+    "fibers_not_a_list": (lambda: SeifertData("S2", 0, 5), ValidationError, "fibers"),
+    "volume_text": (lambda: flateta.chi_from_volume("abc"), DomainError, "volume"),
+    "volume_too_large": (lambda: flateta.chi_from_volume(10**400), DomainError, "volume"),
+    "tolerance_text": (lambda: flateta.chi_from_volume(13.159, "x"), DomainError, "tolerance"),
+    "eta_text": (lambda: flateta.predicted_signature("x"), DomainError, "eta"),
+    "eta_nan": (lambda: flateta.predicted_signature(float("nan")), DomainError, "eta"),
+    "eta_none": (lambda: flateta.predicted_signature(None), DomainError, "eta"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
+def test_hostile_call_ends_in_a_typed_error(case):
+    call, kind, named = case
+    outcome = []
+
+    def attempt():
+        try:
+            call()
+        except Exception as exc:  # recorded and checked below
+            outcome.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive()
+    assert len(outcome) == 1
+    assert isinstance(outcome[0], kind) and isinstance(outcome[0], FlatEtaError)
+    assert named in str(outcome[0])
+
+
+def test_float_order_is_refused_after_the_int_order_is_cached():
+    flateta.cyclotomic_polynomial(12)
+    with pytest.raises(DomainError, match="order"):
+        flateta.cyclotomic_polynomial(12.0)
