@@ -266,6 +266,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
+        if not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):
+            raise UsageError(f"argv must be a list or tuple of str, got {argv!r}")
         with redirect_stdout(out):  # argparse prints --help to sys.stdout
             args = _build_parser().parse_args(argv)
         result = args.handler(args)

@@ -19,9 +19,9 @@ integers underneath with a packed convolution of its own.  This module
 gives it two things:
 
 * **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
-  handful of nonzero terms (5 at N = 400, degree 160), and the division
-  mod Phi_N loops over those alone.  Phi_N itself is built by the same
-  division, from two-term factors x^d - 1.
+  handful of nonzero terms (5 at N = 400, degree 160), and the reduction
+  mod Phi_N loops over those alone.  Phi_N itself is built from two-term
+  factors x^d - 1, multiplied out and divided exactly.
 * **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
   M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
   cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
@@ -68,29 +68,6 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _divmod_monic_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials; den must be monic.
-
-    Monic divisor keeps everything in the integers, no fractions appear.
-    Each quotient step touches only the nonzero terms of den, which is
-    what makes reduction mod Phi_N cheap: Phi_N has a handful of them.
-    """
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) <= dd:
-        return [], _trim(num)
-    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            base = i - dd
-            quot[base] = c
-            for j, d in terms:
-                num[base + j] -= c * d
-    return _trim(quot), _trim(num[:dd])
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: a float order is refused, never a hit
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """The cyclotomic polynomial Phi_N as an ascending coefficient tuple.
@@ -123,10 +100,12 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
             poly = [-c for c in poly] + [0] * d
             for i, c in enumerate(poly[: len(poly) - d]):
                 poly[i + d] -= c
-    for d in divisors:
-        poly, rem = _divmod_monic_int(poly, [-1] + [0] * (d - 1) + [1])
-        if rem:
+    for d in divisors:  # poly /= x^d - 1: the quotient is poly[d:]
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i - d] += poly[i]
+        if any(poly[:d]):
             raise AssertionError(f"inexact division building Phi_{order}")
+        poly = poly[d:]
     step = order // rad
     out = [0] * ((len(poly) - 1) * step + 1)
     out[::step] = poly
@@ -134,9 +113,18 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
-    """Reduce an integer polynomial of any degree modulo Phi_order."""
-    _, rem = _divmod_monic_int(vec, list(cyclotomic_polynomial(order)))
-    return rem
+    """Trimmed remainder of an integer polynomial of any degree mod the
+    monic Phi_order, each step touching only Phi's few nonzero terms."""
+    phi = cyclotomic_polynomial(order)
+    dd = len(phi) - 1
+    rem = list(vec)
+    terms = [(j, c) for j, c in enumerate(phi[:dd]) if c]
+    for i in range(len(rem) - dd - 1, -1, -1):  # x^i * Phi clears x^(i + dd)
+        c = rem[i + dd]
+        if c:
+            for j, d in terms:
+                rem[i + j] -= c * d
+    return _trim(rem[:dd])
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@ def sawtooth(x) -> Fraction:
     >>> sawtooth(Fraction(7, 3))
     Fraction(-1, 6)
     """
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"x must be a rational number, got {x!r}") from None
     if x.denominator == 1:
         return Fraction(0)
     floor = x.numerator // x.denominator

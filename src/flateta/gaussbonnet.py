@@ -112,4 +112,6 @@ def doubled_euler(chi_w: int) -> int:
     The boundary is a closed 3-manifold, so chi(boundary) = 0 and
     chi(DW) = 2*chi(W) - chi(boundary) = 2*chi(W).
     """
+    if not isinstance(chi_w, int):
+        raise DomainError(f"chi_w must be an int, got {chi_w!r}")
     return 2 * chi_w

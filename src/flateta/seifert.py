@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DescriptorSyntaxError, ValidationError
+from .errors import DescriptorSyntaxError, DomainError, ValidationError
 
 
 class BaseSurface(enum.Enum):
@@ -42,8 +42,8 @@ class SeifertData:
 
     ``genus`` is read off the base (0 for S2, 1 for T2); fibers may be
     given as FiberPair instances or bare (alpha, beta) pairs.
-    Construction only checks the base and that the fibers are pairs; see
-    :func:`validate` for the rest.
+    Construction checks every structural invariant and raises
+    ValidationError naming the field, so every instance is valid.
     """
 
     base: BaseSurface
@@ -63,6 +63,16 @@ class SeifertData:
                 f"fibers must be (alpha, beta) pairs, got {self.fibers!r}"
             ) from None
         object.__setattr__(self, "fibers", fibers)
+        if not isinstance(self.b, int):
+            raise ValidationError(f"b must be an int, got {self.b!r}")
+        for i, fiber in enumerate(fibers):
+            for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
+                if not isinstance(value, int):
+                    raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
+            if fiber.alpha < 2:
+                raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")
+            if gcd(fiber.alpha, fiber.beta) != 1:
+                raise ValidationError(f"fibers[{i}]: gcd({fiber.alpha},{fiber.beta}) != 1")
 
     @property
     def genus(self) -> int:
@@ -70,26 +80,16 @@ class SeifertData:
 
 
 def validate(s: SeifertData) -> SeifertData:
-    """Return ``s`` unchanged if every structural invariant holds.
-
-    Raises ValidationError naming the offending field otherwise.
-    """
-    if not isinstance(s.b, int):
-        raise ValidationError(f"b must be an int, got {s.b!r}")
-    for i, fiber in enumerate(s.fibers):
-        for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
-            if not isinstance(value, int):
-                raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
-        if fiber.alpha < 2:
-            raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")
-        if gcd(fiber.alpha, fiber.beta) != 1:
-            raise ValidationError(f"fibers[{i}]: gcd({fiber.alpha},{fiber.beta}) != 1")
+    """The library's boundary type check: ``s`` if it is a SeifertData
+    (valid by construction), else ValidationError naming SeifertData."""
+    if not isinstance(s, SeifertData):
+        raise ValidationError(f"expected SeifertData, got {s!r}")
     return s
 
 
 def _flatness(s: SeifertData) -> tuple[Fraction, Fraction]:
-    """(e, chi_orb) of validated data: the Euler number and the orbifold
-    Euler characteristic, whose vanishing is flatness.  Validates once."""
+    """(e, chi_orb) of Seifert data: the Euler number and the orbifold
+    Euler characteristic, whose vanishing is flatness.  Checks the type once."""
     validate(s)
     e = -(s.b + sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0)))
     cone = sum((1 - Fraction(1, f.alpha) for f in s.fibers), Fraction(0))
@@ -168,7 +168,9 @@ class _Scanner:
 
 def parse_descriptor(text: str) -> SeifertData:
     """Parse a Seifert descriptor such as 'S2;(2,1)(3,-1)(6,-1)' or
-    'T2;' or 'S2;b=-1;(2,1)'.  The result is validated."""
+    'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
+    if not isinstance(text, str):
+        raise DomainError(f"descriptor must be a str, got {text!r}")
     sc = _Scanner(text)
     if sc.try_consume("S2"):
         base = BaseSurface.S2
@@ -190,11 +192,12 @@ def parse_descriptor(text: str) -> SeifertData:
         beta = sc.integer()
         sc.expect(")")
         fibers.append(FiberPair(alpha, beta))
-    return validate(SeifertData(base, b, tuple(fibers)))
+    return SeifertData(base, b, tuple(fibers))
 
 
 def render_descriptor(s: SeifertData) -> str:
     """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s."""
+    validate(s)
     parts = [s.base.value, ";"]
     if s.b:
         parts.append(f"b={s.b};")

@@ -452,6 +452,13 @@ class TestCliContract:
             invoke(*argv)
         assert len(built) == first
 
+    @pytest.mark.parametrize("argv", ["eta", [5], ["eta", 5]], ids=["str", "int", "int_arg"])
+    def test_argv_that_is_not_a_list_of_str_is_refused(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, stdout=out, stderr=err) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: argv must be a list or tuple of str, got {argv!r}\n"
+
     @pytest.mark.parametrize("argv", [("--help",), ("eta", "--help"), ("gauss-bonnet", "-h")])
     def test_help_goes_to_the_given_stdout(self, argv, capsys):
         code, out, err = invoke(*argv)

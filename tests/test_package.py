@@ -21,8 +21,9 @@ def test_all_names_resolve():
     assert set(flateta.__all__) <= set(namespace)
 
 
-# Hostile library calls, each of which once escaped as a bare TypeError or
-# ValueError, or never returned (a float order stepped the factor loop of
+# Hostile library calls, each of which once escaped as a bare TypeError,
+# ValueError or AttributeError, returned a wrong value (doubled_euler("x")
+# was 'xx'), or never returned (a float order stepped the factor loop of
 # cyclotomic_polynomial forever).  (call, error class, text the message holds)
 HOSTILE_CALLS = {
     "polynomial_float_order": (lambda: flateta.cyclotomic_polynomial(2.5), DomainError, "order"),
@@ -39,6 +40,21 @@ HOSTILE_CALLS = {
     "eta_text": (lambda: flateta.predicted_signature("x"), DomainError, "eta"),
     "eta_nan": (lambda: flateta.predicted_signature(float("nan")), DomainError, "eta"),
     "eta_none": (lambda: flateta.predicted_signature(None), DomainError, "eta"),
+    "descriptor_int": (lambda: flateta.parse_descriptor(5), DomainError, "descriptor"),
+    "validate_pair": (
+        lambda: flateta.validate(flateta.FiberPair(2, 1)), ValidationError, "SeifertData"
+    ),
+    "eta_flat_text": (lambda: flateta.eta_flat("S2;"), ValidationError, "SeifertData"),
+    "report_none": (lambda: flateta.obstruction_report(None), ValidationError, "SeifertData"),
+    "euler_number_int": (lambda: flateta.euler_number(3), ValidationError, "SeifertData"),
+    "chi_orb_list": (
+        lambda: flateta.orbifold_euler_characteristic([]), ValidationError, "SeifertData"
+    ),
+    "render_none": (lambda: flateta.render_descriptor(None), ValidationError, "SeifertData"),
+    "sawtooth_text": (lambda: flateta.sawtooth("x"), DomainError, "x"),
+    "sawtooth_nan": (lambda: flateta.sawtooth(float("nan")), DomainError, "x"),
+    "doubled_euler_text": (lambda: flateta.doubled_euler("x"), DomainError, "chi_w"),
+    "doubled_euler_float": (lambda: flateta.doubled_euler(1.5), DomainError, "chi_w"),
 }
 
 

@@ -1,5 +1,6 @@
 """Seifert data validation, flatness, and the flat-manifold catalog."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import permutations
 
@@ -49,20 +50,42 @@ class TestValidate:
         assert isinstance(excinfo.value, ValueError)
 
     @pytest.mark.parametrize(
-        "data, message",
+        "args, message",
         [
-            (SeifertData(BaseSurface.S2, 0.0), r"^b must be an int, got 0\.0$"),
-            (SeifertData(BaseSurface.S2, 0, ((2.0, 1),)), r"^fibers\[0\]: alpha must be an int"),
-            (
-                SeifertData(BaseSurface.S2, 0, ((2, 1), (3, 1.0))),
-                r"^fibers\[1\]: beta must be an int",
-            ),
+            ((BaseSurface.S2, 0.0), r"^b must be an int, got 0\.0$"),
+            ((BaseSurface.S2, 0, ((2.0, 1),)), r"^fibers\[0\]: alpha must be an int"),
+            ((BaseSurface.S2, 0, ((2, 1), (3, 1.0))), r"^fibers\[1\]: beta must be an int"),
         ],
         ids=["b", "alpha", "beta"],
     )
-    def test_rejects_non_integer_fields(self, data, message):
+    def test_rejects_non_integer_fields(self, args, message):
+        # the data is refused as it is built, before any validate call
         with pytest.raises(ValidationError, match=message):
-            validate(data)
+            SeifertData(*args)
+
+
+# Each structural invariant, broken in one field: (field, value, message).
+INVALID_FIELDS = {
+    "b_float": ("b", 0.5, r"^b must be an int, got 0\.5$"),
+    "b_text": ("b", "0", r"^b must be an int, got '0'$"),
+    "alpha_float": ("fibers", ((2.0, 1),), r"^fibers\[0\]: alpha must be an int"),
+    "beta_float": ("fibers", ((2, 1), (3, 1.0)), r"^fibers\[1\]: beta must be an int"),
+    "alpha_one": ("fibers", ((1, 1),), r"^fibers\[0\]: alpha must be >= 2, got 1$"),
+    "alpha_negative": ("fibers", ((-2, 1),), r"^fibers\[0\]: alpha must be >= 2, got -2$"),
+    "not_coprime": ("fibers", ((2, 1), (4, 2)), r"^fibers\[1\]: gcd\(4,2\) != 1$"),
+    "base": ("base", "X2", r"^base must be 'S2' or 'T2', got 'X2'$"),
+    "fiber_shape": ("fibers", ((2,),), r"^fibers must be \(alpha, beta\) pairs"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_FIELDS.values(), ids=INVALID_FIELDS.keys())
+def test_invalid_field_is_refused_at_construction_and_replace(case):
+    field, value, message = case
+    fields = {"base": BaseSurface.S2, "b": 0, "fibers": ((2, 1), (3, -1), (6, -1)), field: value}
+    with pytest.raises(ValidationError, match=message):
+        SeifertData(**fields)
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(G5_DATA, **{field: value})
 
 
 @pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic])
