@@ -11,7 +11,7 @@ and the orbifold Euler characteristic of the base vanish.
 from __future__ import annotations
 
 import enum
-import string
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -63,11 +63,11 @@ class SeifertData:
                 f"fibers must be (alpha, beta) pairs, got {self.fibers!r}"
             ) from None
         object.__setattr__(self, "fibers", fibers)
-        if not isinstance(self.b, int):
+        if type(self.b) is not int:  # not bool: True renders as 'True'
             raise ValidationError(f"b must be an int, got {self.b!r}")
         for i, fiber in enumerate(fibers):
             for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
-                if not isinstance(value, int):
+                if type(value) is not int:
                     raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
             if fiber.alpha < 2:
                 raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")
@@ -115,55 +115,14 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 #   pair       := "(" integer "," integer ")"
 #   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
 #
-# b defaults to 0; whitespace is ignored everywhere.  Error offsets are
-# UTF-8 byte offsets.
+# b defaults to 0; whitespace is ignored everywhere.  _TOKEN reads one
+# token at a time after any whitespace: an integer (group 2), a base, any
+# other single character, or the empty end of the text.  parse_descriptor
+# mirrors the lines above as take(...) sequences of tokens.  Error offsets
+# are UTF-8 byte offsets of the failing token.
 # ---------------------------------------------------------------------------
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def fail(self, message: str):
-        # Only ASCII and str.isspace() characters precede pos, so this encodes.
-        raise DescriptorSyntaxError(message, len(self.text[: self.pos].encode()))
-
-    def try_consume(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.try_consume(literal):
-            self.fail(f"expected {literal!r}")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits_from = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in string.digits:
-            self.pos += 1
-        if self.pos == digits_from:
-            self.pos = start
-            self.fail("expected an integer")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past int()'s digit limit
-            self.pos = start
-            self.fail("integer has too many digits")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+_TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
 
 
 def parse_descriptor(text: str) -> SeifertData:
@@ -171,27 +130,39 @@ def parse_descriptor(text: str) -> SeifertData:
     'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
     if not isinstance(text, str):
         raise DomainError(f"descriptor must be a str, got {text!r}")
-    sc = _Scanner(text)
-    if sc.try_consume("S2"):
-        base = BaseSurface.S2
-    elif sc.try_consume("T2"):
-        base = BaseSurface.T2
-    else:
-        sc.fail("expected base 'S2' or 'T2'")
-    sc.expect(";")
-    b = 0
-    if sc.try_consume("b"):
-        sc.expect("=")
-        b = sc.integer()
-        sc.expect(";")
+    tokens = _TOKEN.finditer(text)  # lazily: junk fails at its first token
+    token = next(tokens)
+
+    def fail(message: str):
+        # Only ASCII and str.isspace() characters precede the token, so this encodes.
+        raise DescriptorSyntaxError(message, len(text[: token.start(1)].encode()))
+
+    def take(*grammar) -> list[int]:
+        """Consume one token per grammar item, a literal or int; return the ints."""
+        nonlocal token
+        values = []
+        for want in grammar:
+            if want is int:
+                if token[2] is None:
+                    fail("expected an integer")
+                try:
+                    value = int(token[2])
+                except ValueError:  # past int()'s digit limit
+                    fail("integer has too many digits")
+                values.append(value)
+            elif token[1] != want:
+                fail(f"expected {want!r}")
+            token = next(tokens)
+        return values
+
+    base = token[1]
+    if base not in ("S2", "T2"):
+        fail("expected base 'S2' or 'T2'")
+    take(base, ";")
+    b = take("b", "=", int, ";")[0] if token[1] == "b" else 0
     fibers = []
-    while not sc.at_end():
-        sc.expect("(")
-        alpha = sc.integer()
-        sc.expect(",")
-        beta = sc.integer()
-        sc.expect(")")
-        fibers.append(FiberPair(alpha, beta))
+    while token[1]:  # the empty token is the end of the text
+        fibers.append(FiberPair(*take("(", int, ",", int, ")")))
     return SeifertData(base, b, tuple(fibers))
 
 

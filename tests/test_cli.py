@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import re
+import threading
 import time
 from fractions import Fraction
 from math import gcd
@@ -57,6 +58,28 @@ def test_transcript_is_byte_identical(row):
     assert invoke(*row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
 
 
+# (text, message, offset) for every message of the descriptor grammar,
+# recorded before the hand-written scanner was replaced by one token pattern
+SYNTAX_ERRORS = [
+    ("X2;", "expected base 'S2' or 'T2'", 0),
+    ("  T 2;", "expected base 'S2' or 'T2'", 2),
+    ("S2", "expected ';'", 2),
+    ("S2 (2,1)", "expected ';'", 3),
+    ("S2;b=1(2,1)", "expected ';'", 6),
+    ("S2;b 1;", "expected '='", 5),
+    ("S2;2,1)", "expected '('", 3),
+    ("S2;(2,1)x", "expected '('", 8),
+    ("S2;(2 1)", "expected ','", 6),
+    ("S2;b=1;(2,1)(3", "expected ','", 14),
+    ("S2;(2,1", "expected ')'", 7),
+    ("S2;(2,1)(3,-1)(6,-1", "expected ')'", 19),
+    ("S2;b=;", "expected an integer", 5),
+    ("S2;(,1)", "expected an integer", 4),
+    ("S2;(2,+)", "expected an integer", 6),
+    ("S2;(" + "9" * 5000 + ",1)", "integer has too many digits", 4),
+]
+
+
 class TestParseDescriptor:
     def test_catalog_example(self):
         data = parse_descriptor("S2;(2,1)(3,-1)(6,-1)")
@@ -82,20 +105,37 @@ class TestParseDescriptor:
             parse_descriptor("S2;(4,2)")
 
     @pytest.mark.parametrize(
-        "text, offset",
-        [
-            ("X2;", 0),
-            ("S2", 2),
-            ("S2;(2,1", 7),
-            ("S2;(2 1)", 6),
-            ("S2;b=;", 5),
-            ("S2;(2,1)x", 8),
+        "text, message, offset",
+        SYNTAX_ERRORS,
+        ids=[
+            f"{text if len(text) < 40 else 'S2;(9x5000,1)'}-{offset}"
+            for text, _, offset in SYNTAX_ERRORS
         ],
     )
-    def test_syntax_error_offsets(self, text, offset):
+    def test_syntax_error_offsets(self, text, message, offset):
         with pytest.raises(DescriptorSyntaxError) as excinfo:
             parse_descriptor(text)
+        assert str(excinfo.value) == f"{message} (byte {offset})"
         assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize("space", [" ", "\u3000"], ids=["ascii", "ideographic"])
+    def test_long_whitespace_run_fails_promptly(self, space):
+        # a scanner that steps over whitespace one character at a time in
+        # Python takes over a second here
+        text = "S2;" + space * 10**7 + "x"
+        outcome = []
+
+        def attempt():
+            try:
+                parse_descriptor(text)
+            except DescriptorSyntaxError as exc:
+                outcome.append(exc.offset)
+
+        worker = threading.Thread(target=attempt, daemon=True)
+        worker.start()
+        worker.join(timeout=1)
+        assert not worker.is_alive()
+        assert outcome == [3 + len(space.encode()) * 10**7]
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -212,6 +252,71 @@ class TestDescriptorGrammarProperties:
             assert 0 <= exc.offset <= len(text.encode())
         except ValidationError:
             pass
+
+
+# Whole argv lists: the five commands and unknown ones, --json/--quiet
+# (and now and then a help flag) anywhere, and hostile values.  Dedekind
+# alphas stay within 60, apart from values the ceiling refuses at once.
+_INTEGER_TEXT = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.sampled_from(["0", "-1", "-1001", "1001", str(10**9), "x", "1.5", ""]),
+)
+_REAL_TEXT = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "text", "13.1594725348", "0", "-1"]),
+)
+_FLAT = [render_descriptor(e.seifert) for e in flat_catalog() if e.seifert is not None]
+_DESCRIPTOR = st.one_of(_mutated(), st.sampled_from(_FLAT))
+_HELP_FLAGS = {"-h", "--help"}
+
+
+@st.composite
+def _argv(draw):
+    commands = ["eta", "obstruct", "dedekind", "catalog", "gauss-bonnet", "frobnicate", "ETA"]
+    command = draw(st.sampled_from(commands))
+    argv = [command]
+    if command in ("eta", "obstruct"):
+        argv.append(draw(_DESCRIPTOR))
+    elif command == "dedekind":
+        argv += [draw(_INTEGER_TEXT), draw(_INTEGER_TEXT)]
+    elif command == "gauss-bonnet":
+        options = (("--chi", _INTEGER_TEXT), ("--volume", _REAL_TEXT), ("--tol", _REAL_TEXT))
+        for flag, values in options:
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+    if draw(st.integers(0, 9)) == 0:  # a stray argument
+        argv.append(draw(st.one_of(_INTEGER_TEXT, _DESCRIPTOR)))
+    flags = st.sampled_from(["--json", "--quiet"] * 3 + ["--help", "-h"])
+    for flag in draw(st.lists(flags, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), flag)
+    return argv
+
+
+class TestWholeArgvContract:
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_ends_in_a_typed_outcome(self, argv):
+        outcome = []
+
+        def attempt():
+            outcome.append(invoke(*argv))
+
+        worker = threading.Thread(target=attempt, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert len(outcome) == 1  # nothing escaped run()
+        code, out, err = outcome[0]
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.endswith("\n") and err.count("\n") == 1
+        if code in (1, 2):
+            assert out == ""
+        if "--json" in argv and code in (0, 3) and not _HELP_FLAGS & set(argv):
+            assert out.endswith("\n") and out.count("\n") == 1
+            assert isinstance(parse_json_output(out), dict)
 
 
 class TestEtaCommand:

@@ -68,6 +68,9 @@ class TestValidate:
 INVALID_FIELDS = {
     "b_float": ("b", 0.5, r"^b must be an int, got 0\.5$"),
     "b_text": ("b", "0", r"^b must be an int, got '0'$"),
+    "b_bool": ("b", True, r"^b must be an int, got True$"),
+    "alpha_bool": ("fibers", ((True, 1),), r"^fibers\[0\]: alpha must be an int, got True$"),
+    "beta_bool": ("fibers", ((2, 1), (3, True)), r"^fibers\[1\]: beta must be an int, got True$"),
     "alpha_float": ("fibers", ((2.0, 1),), r"^fibers\[0\]: alpha must be an int"),
     "beta_float": ("fibers", ((2, 1), (3, 1.0)), r"^fibers\[1\]: beta must be an int"),
     "alpha_one": ("fibers", ((1, 1),), r"^fibers\[0\]: alpha must be >= 2, got 1$"),
