@@ -49,7 +49,7 @@ FIELD_ORDER_MAX = 4000
 
 
 def _check_order(order: int) -> None:
-    if not isinstance(order, int):
+    if type(order) is not int:
         raise DomainError(f"order must be an int, got {order!r}")
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -234,7 +234,7 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     >>> cot_exact(1, 4)
     <1 in Q(zeta_1)>
     """
-    if not (isinstance(k, int) and isinstance(n, int)):
+    if not (type(k) is int and type(n) is int):
         raise DomainError(f"k and n must be ints, got {k!r} and {n!r}")
     if n < 1:
         raise DomainError("cotangent denominator n must be >= 1")

@@ -67,7 +67,7 @@ def sawtooth(x) -> Fraction:
 
 
 def _check_pair(beta: int, alpha: int) -> None:
-    if not (isinstance(beta, int) and isinstance(alpha, int)):
+    if not (type(beta) is int and type(alpha) is int):
         raise DomainError(f"beta and alpha must be ints, got {beta!r} and {alpha!r}")
     if alpha < 1:
         raise DomainError(f"alpha must be >= 1, got {alpha}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dedekind import dedekind_cot
 from .errors import DomainError, NotFlatError, ObstructionError
@@ -68,17 +69,19 @@ def eta_flat(s: SeifertData) -> EtaResult:
     Refuses non-flat input rather than extrapolating: the per-fiber
     formula is only asserted where a flat metric exists (and there the
     value is metric-independent).  The empty fiber list gives eta = 0.
+    The fiber sums add as integers over the lcm D of their denominators.
     """
     e, chi_orb = _flatness(s)
-    problems = []
-    if e != 0:
-        problems.append(f"e = {e}")
-    if chi_orb != 0:
-        problems.append(f"chi_orb = {chi_orb}")
+    problems = [(name, value) for name, value in (("e", e), ("chi_orb", chi_orb)) if value]
     if problems:
-        raise NotFlatError("not flat: " + ", ".join(problems))
+        try:
+            shown = [f"{name} = {value}" for name, value in problems]
+        except ValueError:  # past int's str digit limit: give the sign only
+            shown = [f"{name} {'<' if value < 0 else '>'} 0" for name, value in problems]
+        raise NotFlatError("not flat: " + ", ".join(shown))
     contributions = tuple((f, dedekind_cot(f.beta, f.alpha)) for f in s.fibers)
-    value = 4 * sum((c for _, c in contributions), Fraction(0))
+    den = lcm(*(c.denominator for _, c in contributions))
+    value = Fraction(4 * sum(c.numerator * (den // c.denominator) for _, c in contributions), den)
     return EtaResult(
         value=value,
         integral=value.denominator == 1,

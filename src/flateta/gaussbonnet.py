@@ -46,7 +46,7 @@ def volume_from_chi(chi: int) -> VolumeValue:
     >>> volume_from_chi(1).approx
     '13.1594725348'
     """
-    if not isinstance(chi, int):
+    if type(chi) is not int:
         raise DomainError(f"chi must be an int, got {chi!r}")
     if chi < 1:
         raise DomainError(
@@ -112,6 +112,6 @@ def doubled_euler(chi_w: int) -> int:
     The boundary is a closed 3-manifold, so chi(boundary) = 0 and
     chi(DW) = 2*chi(W) - chi(boundary) = 2*chi(W).
     """
-    if not isinstance(chi_w, int):
+    if type(chi_w) is not int:
         raise DomainError(f"chi_w must be an int, got {chi_w!r}")
     return 2 * chi_w

@@ -14,7 +14,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DescriptorSyntaxError, DomainError, ValidationError
 
@@ -88,12 +88,14 @@ def validate(s: SeifertData) -> SeifertData:
 
 
 def _flatness(s: SeifertData) -> tuple[Fraction, Fraction]:
-    """(e, chi_orb) of Seifert data: the Euler number and the orbifold
-    Euler characteristic, whose vanishing is flatness.  Checks the type once."""
+    """(e, chi_orb), whose vanishing is flatness; checks the type once.
+    Integer sums over L = lcm(alpha_i), each share q_i = L/alpha_i taken
+    once: e = -(b*L + sum beta_i*q_i)/L, chi_orb = ((2-2g-n)*L + sum q_i)/L."""
     validate(s)
-    e = -(s.b + sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0)))
-    cone = sum((1 - Fraction(1, f.alpha) for f in s.fibers), Fraction(0))
-    return e, 2 - 2 * s.genus - cone
+    den = lcm(*(f.alpha for f in s.fibers))
+    shares = [den // f.alpha for f in s.fibers]
+    e = -(s.b * den + sum(f.beta * q for f, q in zip(s.fibers, shares)))
+    return Fraction(e, den), Fraction((2 - 2 * s.genus - len(shares)) * den + sum(shares), den)
 
 
 def euler_number(s: SeifertData) -> Fraction:

@@ -1,9 +1,15 @@
 """Eta-invariant assembly and the geometric-bounding obstruction logic."""
 
+import io
+import threading
+import time
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import flateta.eta as eta_module
 import flateta.seifert as seifert
@@ -14,11 +20,16 @@ from flateta import (
     ObstructionError,
     SeifertData,
     ValidationError,
+    dedekind_sawtooth,
     eta_flat,
+    euler_number,
     flat_catalog,
     obstruction_report,
+    orbifold_euler_characteristic,
+    parse_descriptor,
     predicted_signature,
 )
+from flateta.cli import run
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -99,6 +110,126 @@ class TestEtaFlat:
         for entry in flat_catalog():
             if entry.eta is not None:
                 assert 9 % entry.eta.denominator == 0, entry.name
+
+
+# The multiplicities of every flat fibration over S2, largest (= their lcm) last.
+_FLAT_ALPHAS = ((2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6))
+
+
+@st.composite
+def _flat_data(draw):
+    """Flat Seifert data: T2 with b = 0 and no fibers, or S2 over a flat
+    orbifold with the last beta and b chosen so that e = 0, in any order."""
+    if draw(st.booleans()):
+        return SeifertData(BaseSurface.T2)
+    *alphas, last = draw(st.sampled_from(_FLAT_ALPHAS))
+    betas = [draw(st.integers(-(10**6), 10**6).filter(lambda b, a=a: gcd(a, b) == 1))
+             for a in alphas]
+    part = sum((Fraction(b, a) for a, b in zip(alphas, betas)), Fraction(0))
+    beta = -part.numerator * (last // part.denominator) + last * draw(st.integers(-(10**6), 10**6))
+    assume(gcd(last, beta) == 1)
+    fibers = draw(st.permutations(list(zip(alphas, betas)) + [(last, beta)]))
+    return SeifertData(BaseSurface.S2, -int(part + Fraction(beta, last)), tuple(fibers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_data())
+def test_eta_is_four_times_the_sawtooth_sums(data):
+    result = eta_flat(data)
+    assert result.value == 4 * sum(
+        (dedekind_sawtooth(f.beta, f.alpha) for f in data.fibers), Fraction(0)
+    )
+    assert type(result.value) is Fraction
+    assert result.integral == (result.value.denominator == 1)
+
+
+# Refused non-flat data and the whole NotFlatError text, as the per-term
+# Fraction sums rendered it.
+NOT_FLAT_MESSAGES = {
+    "e_only": ("S2;(2,1)(3,1)(6,1)", "not flat: e = -1"),
+    "chi_orb_only": ("S2;b=-1;(2,1)(2,1)", "not flat: chi_orb = 1"),
+    "both": ("S2;(2,1)", "not flat: e = -1/2, chi_orb = 3/2"),
+    "torus_b": ("T2;b=1;", "not flat: e = -1"),
+    "sphere_bare": ("S2;", "not flat: chi_orb = 2"),
+    "torus_fiber": ("T2;(2,1)", "not flat: e = -1/2, chi_orb = -1/2"),
+    "five_fibers": ("S2;(2,1)(2,1)(2,-1)(2,-1)(3,1)", "not flat: e = -1/3, chi_orb = -2/3"),
+    "five_primes": (
+        "S2;(2,1)(3,1)(5,1)(7,1)(11,1)",
+        "not flat: e = -2927/2310, chi_orb = -4003/2310",
+    ),
+    "ten_primes": (
+        "S2;b=3;(2,1)(3,-1)(5,2)(7,-3)(11,4)(13,-5)(17,6)(19,-7)(23,8)(29,-9)",
+        "not flat: e = -20309127887/6469693230, chi_orb = -41836667399/6469693230",
+    ),
+    "b_30_digits": (
+        "S2;b=1000000000000000000000000000000;(3,2)(3,-1)(3,-1)",
+        "not flat: e = -1000000000000000000000000000000",
+    ),
+    "alpha_near_million": (
+        "S2;b=-1;(999983,1)(999979,-999978)(2,1)(3,1)(5,1)(7,1)",
+        "not flat: e = 172993006069741/209992020074970, "
+        "chi_orb = -592977046219681/209992020074970",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_FLAT_MESSAGES.values(), ids=NOT_FLAT_MESSAGES.keys())
+def test_not_flat_message(case):
+    text, message = case
+    with pytest.raises(NotFlatError) as excinfo:
+        eta_flat(parse_descriptor(text))
+    assert str(excinfo.value) == message
+
+
+def _primes(count):
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+# Non-flat data whose e has more digits than int's default str limit
+# (4,300): 3,000 fibers of distinct prime multiplicity (e and chi_orb have
+# a denominator of about 11,900 digits), or a 4,300-digit b.
+MANY_PRIMES = "S2;" + "".join(f"({p},-1)" for p in _primes(3000))
+LONG_B = "S2;b=" + "9" * 4300 + ";(2,1)(3,1)"
+
+
+def test_many_distinct_fibers_are_refused_promptly():
+    data = parse_descriptor(MANY_PRIMES)
+    outcome = []
+
+    def attempt():
+        start = time.perf_counter()
+        try:
+            eta_flat(data)
+        except Exception as exc:  # recorded and checked below
+            outcome.append((exc, time.perf_counter() - start))
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    [(exc, elapsed)] = outcome
+    assert isinstance(exc, NotFlatError)
+    assert elapsed < 0.5
+    e, chi_orb = euler_number(data), orbifold_euler_characteristic(data)
+    try:  # the exact text where int's str limit allows it, else the signs
+        expected = f"not flat: e = {e}, chi_orb = {chi_orb}"
+    except ValueError:
+        expected = "not flat: e > 0, chi_orb < 0"
+    assert str(exc) == expected
+
+
+@pytest.mark.parametrize("text", [MANY_PRIMES, LONG_B], ids=["many_primes", "long_b"])
+def test_huge_invariants_exit_2_from_the_cli(text):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["obstruct", text, "--json"], out, err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: not flat: e ")
+    assert err.getvalue().count("\n") == 1
 
 
 class TestPredictedSignature:

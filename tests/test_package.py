@@ -24,7 +24,8 @@ def test_all_names_resolve():
 # Hostile library calls, each of which once escaped as a bare TypeError,
 # ValueError or AttributeError, returned a wrong value (doubled_euler("x")
 # was 'xx'), or never returned (a float order stepped the factor loop of
-# cyclotomic_polynomial forever).  (call, error class, text the message holds)
+# cyclotomic_polynomial forever), or took a bool for an int (dedekind_cot(True, 3)
+# was 1/18).  (call, error class, text the message holds)
 HOSTILE_CALLS = {
     "polynomial_float_order": (lambda: flateta.cyclotomic_polynomial(2.5), DomainError, "order"),
     "polynomial_str_order": (lambda: flateta.cyclotomic_polynomial("12"), DomainError, "order"),
@@ -55,6 +56,14 @@ HOSTILE_CALLS = {
     "sawtooth_nan": (lambda: flateta.sawtooth(float("nan")), DomainError, "x"),
     "doubled_euler_text": (lambda: flateta.doubled_euler("x"), DomainError, "chi_w"),
     "doubled_euler_float": (lambda: flateta.doubled_euler(1.5), DomainError, "chi_w"),
+    "dedekind_cot_bool_beta": (lambda: flateta.dedekind_cot(True, 3), DomainError, "got True"),
+    "dedekind_cot_bool_alpha": (lambda: flateta.dedekind_cot(1, True), DomainError, "and True"),
+    "dedekind_sawtooth_bool": (lambda: flateta.dedekind_sawtooth(1, True), DomainError, "and True"),
+    "cot_bool_k": (lambda: flateta.cot_exact(True, 3), DomainError, "k and n"),
+    "polynomial_bool_order": (lambda: flateta.cyclotomic_polynomial(True), DomainError, "order"),
+    "promoted_bool_order": (lambda: flateta.cot_exact(1, 3).promoted(True), DomainError, "order"),
+    "volume_from_chi_bool": (lambda: flateta.volume_from_chi(True), DomainError, "chi"),
+    "doubled_euler_bool": (lambda: flateta.doubled_euler(True), DomainError, "chi_w"),
 }
 
 

@@ -3,8 +3,11 @@
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flateta import (
     BaseSurface,
@@ -107,6 +110,33 @@ class TestEulerNumber:
 
     def test_single_fiber(self):
         assert euler_number(SeifertData(BaseSurface.S2, 0, ((2, 1),))) == Fraction(-1, 2)
+
+
+def _paper_invariants(s):
+    """(e, chi_orb) straight from the formulas, one Fraction per term:
+    e = -(b + sum beta_i/alpha_i), chi_orb = 2 - 2g - sum (1 - 1/alpha_i)."""
+    genus = {BaseSurface.S2: 0, BaseSurface.T2: 1}[s.base]
+    e = -(Fraction(s.b) + sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0)))
+    cone = sum((1 - Fraction(1, f.alpha) for f in s.fibers), Fraction(0))
+    return e, 2 - 2 * genus - cone
+
+
+_FIBER = st.tuples(st.integers(2, 10**6), st.integers(-(10**6), 10**6)).filter(
+    lambda pair: gcd(*pair) == 1
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(BaseSurface),
+    b=st.integers(-(10**30), 10**30),
+    fibers=st.lists(_FIBER, max_size=8),
+)
+def test_invariants_equal_the_paper_formulas(base, b, fibers):
+    data = SeifertData(base, b, tuple(fibers))
+    e, chi_orb = _paper_invariants(data)
+    assert (euler_number(data), orbifold_euler_characteristic(data)) == (e, chi_orb)
+    assert type(euler_number(data)) is type(orbifold_euler_characteristic(data)) is Fraction
 
 
 class TestOrbifoldEulerCharacteristic:
