@@ -2,14 +2,16 @@
 written by :mod:`flateta.seifert`).
 
 Subcommands: eta, obstruct, dedekind, catalog, gauss-bonnet.  Results go
-to stdout, error text to stderr.  Exit codes: 0 success, 1 usage or
-descriptor syntax error, 2 domain/validation error, 3 obstruction (a
+to stdout, errors to stderr.  Exit codes: 0 success, 1 usage, descriptor
+syntax or output error, 2 domain/validation error, 3 obstruction (a
 signature was implicitly requested but eta is not an integer).
 
-Each command only computes: it returns one result holding a payload of
-exact values, its --quiet lines and its human lines.  ``run()`` renders
-that result in the requested mode and maps every error onto its exit
-code through one table, so the three output modes cannot drift apart.
+A command-first argv goes straight to that command's parser, and help
+comes back from it as text.  Each command only computes: it returns one
+result holding a payload of exact values, its --quiet lines and its
+human lines.  ``run()`` renders that result in the requested mode and
+maps every error onto its exit code through one table, so the three
+output modes cannot drift apart.
 
 With --json every invocation prints a single JSON object; exact
 rationals are serialized as "p/q" strings, never as floats.  The object
@@ -21,18 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .dedekind import dedekind_cot, dedekind_sawtooth
-from .errors import (
-    DescriptorSyntaxError,
-    DomainError,
-    ObstructionError,
-    UsageError,
-)
+from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError
 from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
 from .gaussbonnet import chi_from_volume, volume_from_chi
 from .seifert import SeifertData, parse_descriptor, render_descriptor
@@ -165,28 +161,21 @@ def _cmd_gauss_bonnet(args) -> _Result:
 # ---------------------------------------------------------------------------
 
 
+class _Help(Exception):
+    """--help was given; the single argument is the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The command line parser, built once per process on first use."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="emit a single JSON object (rationals as \"p/q\" strings)",
-    )
-    shared.add_argument(
-        "--quiet",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="print only the primary result",
-    )
-
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and {command: parser}, built once per process."""
     parser = _Parser(
         prog="flateta",
         description=(
@@ -194,8 +183,15 @@ def _build_parser() -> _Parser:
             "3-manifolds and integrality obstructions to geometric bounding."
         ),
     )
-    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--quiet", action="store_true", help=argparse.SUPPRESS)
+    # Each flag twice: hidden before the command (default False), and in
+    # every command, where it is left out of the namespace unless given.
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, text in (
+        ("--json", 'emit a single JSON object (rationals as "p/q" strings)'),
+        ("--quiet", "print only the primary result"),
+    ):
+        parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
+        shared.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=text)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser(
@@ -246,7 +242,16 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(handler=_cmd_gauss_bonnet)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a command-first argv skips the top-level pass, which only routes it."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        start = argparse.Namespace(json=False, quiet=False, command=argv[0])
+        return commands[argv[0]].parse_args(argv[1:], start)
+    return parser.parse_args(argv)
 
 
 # Exit code of each error class; every FlatEtaError the CLI reports is one
@@ -268,23 +273,36 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         if not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):
             raise UsageError(f"argv must be a list or tuple of str, got {argv!r}")
-        with redirect_stdout(out):  # argparse prints --help to sys.stdout
-            args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         result = args.handler(args)
         if args.json:
             header = {"schema": SCHEMA_VERSION, "command": args.command}
-            print(json.dumps(header | result.payload, default=_exact), file=out)
+            text = json.dumps(header | result.payload, default=_exact) + "\n"
         else:
-            print("\n".join(result.quiet if args.quiet else result.human), file=out)
-        if result.error is not None:
-            raise result.error
-        return 0
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
+            text = "\n".join(result.quiet if args.quiet else result.human) + "\n"
+        error = result.error
+    except _Help as shown:
+        text, error = str(shown), None
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=err)
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        text, error = "", exc
+    code = next((code for kind, code in _EXIT_CODES.items() if isinstance(error, kind)), 0)
+    try:
+        if text:
+            print(text, end="", file=out, flush=True)  # out is None: no stdout, no output
+    except OSError as exc:
+        error, code = f"cannot write output: {exc}", 1
+    if error is not None:
+        try:
+            print(f"error: {error}", file=err)
+        except OSError:
+            pass  # stderr failed as well; the exit code still reports it
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:  # run() flushed stdout or reported why not; exit must not flush it again
+        sys.stdout.close()
+    except (AttributeError, OSError):  # AttributeError: the process has no stdout
+        pass
+    sys.exit(code)

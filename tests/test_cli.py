@@ -1,9 +1,13 @@
 """Descriptor grammar and command line behavior."""
 
 import argparse
+import errno
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -20,6 +24,7 @@ from flateta import (
     DescriptorSyntaxError,
     FiberPair,
     SeifertData,
+    UsageError,
     ValidationError,
     flat_catalog,
     parse_descriptor,
@@ -45,6 +50,16 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+class _Full(io.StringIO):
+    """A stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+NO_SPACE = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def parse_json_output(text):
@@ -319,6 +334,76 @@ class TestWholeArgvContract:
             assert isinstance(parse_json_output(out), dict)
 
 
+def _route_outcome(parse, argv):
+    """What a parse of argv gives: the namespace (as text, so that a nan
+    --volume compares equal), the help text or the usage error."""
+    try:
+        return "namespace", repr(sorted(vars(parse(argv)).items()))
+    except cli._Help as shown:
+        return "help", str(shown)
+    except UsageError as exc:
+        return "usage", str(exc)
+
+
+def _assert_same_route(argv):
+    top_level = cli._build_parser()[0].parse_args
+    assert _route_outcome(cli._parse, argv) == _route_outcome(top_level, argv), argv
+
+
+class TestRouteEquivalence:
+    """``_parse`` hands a command-first argv straight to the command's parser;
+    every argv must parse exactly as the top-level parser parses it, on the
+    running interpreter's argparse."""
+
+    @pytest.mark.parametrize("argv", [r["argv"] for r in TRANSCRIPT])
+    def test_transcript_argvs(self, argv):
+        _assert_same_route(argv)
+
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_argvs(self, argv):
+        _assert_same_route(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--"],
+            ["--json"],
+            ["--help"],
+            ["--json", "eta", "T2;"],
+            ["--quiet", "--json", "catalog"],
+            ["et", "T2;"],
+            ["eta", "--", "T2;"],
+            ["eta", "T2;", "--"],
+            ["eta", "--", "--json"],
+            ["dedekind", "--", "-1", "5"],
+            ["dedekind", "-1", "5"],
+            ["eta", "T2;", "--js"],
+            ["eta", "T2;", "--json=1"],
+            ["eta", "T2;", "--quiet=", "--json"],
+            ["eta", "-hx"],
+            ["catalog", "-hx"],
+            ["eta", "--help", "T2;"],
+            ["eta", "T2;", "-h"],
+            ["dedekind", "1", "5", "--q"],
+            ["dedekind", "1", "5", "--"],
+            ["dedekind", "1"],
+            ["catalog", "extra"],
+            ["catalog", "--json", "--json"],
+            ["gauss-bonnet", "--chi", "2", "--js"],
+            ["gauss-bonnet", "--c", "2"],
+            ["gauss-bonnet", "--chi", "2", "--volume", "1.0"],
+            ["gauss-bonnet", "--", "--chi", "2"],
+            ["gauss-bonnet", "--chi=-2"],
+            ["eta", "T2;", "eta", "T2;"],
+            ["eta", "catalog"],
+        ],
+    )
+    def test_edge_argvs(self, argv):
+        _assert_same_route(argv)
+
+
 class TestEtaCommand:
     def test_prints_exact_value(self):
         code, out, err = invoke("eta", "S2;(2,1)(3,-1)(6,-1)")
@@ -570,6 +655,80 @@ class TestCliContract:
         assert (code, err) == (0, "")
         assert out.startswith("usage: flateta")
         assert capsys.readouterr() == ("", "")
+
+    def test_concurrent_runs_leave_sys_stdout_alone(self):
+        # Eight threads, each with its own streams, alternate help and a result.
+        stdout = sys.stdout
+        cases = [(argv, invoke(*argv)[1]) for argv in (["eta", "--help"], ["eta", "T2;"])]
+        assert cases[0][1].startswith("usage: flateta eta")
+        failures = []
+
+        def worker():
+            for _ in range(50):
+                for argv, want in cases:
+                    out, err = io.StringIO(), io.StringIO()
+                    code = run(argv, stdout=out, stderr=err)
+                    if (code, out.getvalue(), err.getvalue()) != (0, want, ""):
+                        failures.append(argv)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sys.stdout is stdout
+        assert failures == []
+
+    @pytest.mark.parametrize("argv", [("eta", "T2;"), ("catalog", "--json"), ("--help",)])
+    def test_failed_stdout_write_is_reported(self, argv):
+        err = io.StringIO()
+        assert run(list(argv), stdout=_Full(), stderr=err) == 1
+        assert err.getvalue() == NO_SPACE
+
+    def test_failed_flush_is_reported(self):
+        class Unflushable(io.StringIO):
+            def flush(self):
+                raise OSError(errno.EPIPE, "Broken pipe")
+
+        err = io.StringIO()
+        assert run(["eta", "T2;"], stdout=Unflushable(), stderr=err) == 1
+        assert err.getvalue() == f"error: cannot write output: [Errno {errno.EPIPE}] Broken pipe\n"
+
+    def test_error_is_reported_when_nothing_is_written(self):
+        err = io.StringIO()
+        assert run(["eta", "X2;"], stdout=_Full(), stderr=err) == 1
+        assert err.getvalue() == "error: expected base 'S2' or 'T2' (byte 0)\n"
+
+    def test_failed_stderr_write_is_swallowed(self):
+        assert run(["eta", "T2;"], stdout=_Full(), stderr=_Full()) == 1
+        assert run(["eta", "X2;"], stdout=io.StringIO(), stderr=_Full()) == 1
+        assert run(["obstruct", "S2;(2,1)(3,-1)(6,-1)"], stdout=io.StringIO(), stderr=_Full()) == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("eta", "T2;"), ("catalog", "--json"), ("--help",)])
+    def test_console_script_writing_to_a_full_device(self, argv, buffered):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-c", "from flateta.cli import main; main()", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert (done.returncode, done.stderr) == (1, NO_SPACE)
 
     def test_json_output_is_single_object(self):
         for argv in (
