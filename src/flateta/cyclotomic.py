@@ -18,10 +18,19 @@ is all.  The one consumer of the arithmetic is
 integers underneath with a packed convolution of its own.  This module
 gives it two things:
 
-* **Sparse reduction.**  ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has only a
-  handful of nonzero terms (5 at N = 400, degree 160), and the reduction
-  mod Phi_N loops over those alone.  Phi_N itself is built from two-term
-  factors x^d - 1, multiplied out and divided exactly.
+* **Sparse reduction.**  ``_reduce_int_mod_phi`` divides by two sparse
+  multiples of Phi_N before dividing by Phi_N itself, so its remainder is
+  that of plain long division.  First it folds with y^n = s (n = N/2,
+  s = -1 for even N; n = N, s = 1 for odd N), one elementwise pass per
+  length-n chunk.  Then, with p the least odd prime of N and L = n/p,
+  Phi_N divides sum_{i<p} s^i y^(i*L), so one elementwise pass subtracts
+  the top L entries, tiled with signs s^i, from the first n - L.  Last,
+  long division by Phi_N runs the n - L - deg Phi_N steps that are left
+  (none when N has at most one odd prime), each touching only Phi's
+  nonzero terms: ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has a handful
+  of them (5 at N = 400, degree 160).  ``_reduction`` works out n, s,
+  the cut n - L and those terms once per field.  Phi_N itself is built
+  from two-term factors x^d - 1, multiplied out and divided exactly.
 * **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
   M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
   cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
@@ -38,7 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from .errors import DomainError, PoleError
 
@@ -112,19 +122,55 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
-    """Trimmed remainder of an integer polynomial of any degree mod the
-    monic Phi_order, each step touching only Phi's few nonzero terms."""
+def _reduction(order: int) -> tuple:
+    """What ``_reduce_int_mod_phi`` needs to know of Phi_order, worked out
+    once per field: (n, s, cut, deg Phi_order, Phi's nonzero lower terms).
+
+    Phi_N divides y^n - s, with n = N/2, s = -1 for even N and n = N,
+    s = 1 for odd N.  With p the least odd prime of N and L = n/p, it also
+    divides D = sum_{i<p} s^i y^(i*L), monic of degree cut = n - L (p - 1
+    is even); without an odd prime (N a power of two, or 1) cut = n.
+    """
     phi = cyclotomic_polynomial(order)
-    dd = len(phi) - 1
-    rem = list(vec)
-    terms = [(j, c) for j, c in enumerate(phi[:dd]) if c]
-    for i in range(len(rem) - dd - 1, -1, -1):  # x^i * Phi clears x^(i + dd)
-        c = rem[i + dd]
+    degree = len(phi) - 1
+    n, s = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    p = odd = order // (order & -order)  # p: the least prime of the odd part, or 1
+    for q in range(3, isqrt(odd) + 1, 2):
+        if odd % q == 0:
+            p = q
+            break
+    cut = n - n // p if p > 1 else n
+    terms = [(j, c) for j, c in enumerate(phi[:degree]) if c]
+    return n, s, cut, degree, terms
+
+
+def _reduce_int_mod_phi(vec: list[int], reduction: tuple) -> list[int]:
+    """Trimmed remainder of an integer polynomial of any degree mod the
+    monic Phi_N described by ``reduction = _reduction(N)``.
+
+    Each stage divides by a multiple of Phi_N, so the remainder is that of
+    plain long division; only the work shrinks.
+    """
+    n, s, cut, degree, terms = reduction
+    rem = vec[:n]
+    sign = 1
+    for start in range(n, len(vec), n):  # y^n = s folds chunk c in with s^c
+        sign *= s
+        chunk = vec[start:start + n]
+        rem[:len(chunk)] = list(map(add if sign > 0 else sub, rem, chunk))
+    if len(rem) > cut:
+        # y^cut = -sum_{i<p-1} s^i y^(i*L) clears the top L entries at once:
+        # subtract them, tiled with signs s^i, from the first cut entries.
+        top = rem[cut:] + [0] * (n - len(rem))
+        if s < 0:
+            top += list(map(neg, top))
+        rem = list(map(sub, rem, top * (cut // len(top))))
+    for i in range(len(rem) - degree - 1, -1, -1):  # y^i * Phi clears y^(i + degree)
+        c = rem[i + degree]
         if c:
             for j, d in terms:
                 rem[i + j] -= c * d
-    return _trim(rem[:dd])
+    return _trim(rem[:degree])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +229,7 @@ class CyclotomicElement:
         step = order // self.order
         spread = [0] * ((len(self.numerator) - 1) * step + 1)
         spread[::step] = self.numerator
-        return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
+        return _element(order, _reduce_int_mod_phi(spread, _reduction(order)), self.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicElement):
@@ -242,20 +288,21 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
-    parity, half, m = _cot_half(k % n, n)
+    parity, half, m = _cot_half(k % n, n, _reduction(order // 2))
     full = [0] * (2 * len(half))
     full[parity::2] = half
     return _element(order, full, m)
 
 
-def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
+def _cot_half(r: int, n: int, reduction: tuple) -> tuple[int, list[int], int]:
     """cot(r*pi/n) for r not a multiple of n, M = lcm(4, 2n), as the
     triple (parity, half, m) with
 
         m * cot(r*pi/n) = sum_j half[j] * zeta_M^(2j + parity),
 
     parity = M/4 mod 2 and half the trimmed remainder mod Phi_(M/2) of a
-    polynomial in y = zeta_M^2 = zeta_(M/2), empty for cot(pi/2) = 0.
+    polynomial in y = zeta_M^2 = zeta_(M/2), empty for cot(pi/2) = 0;
+    ``reduction`` is ``_reduction(M/2)``.
     Since Phi_M(x) = Phi_(M/2)(x^2) (4 | M), the remainder mod Phi_M is
     half spread onto the exponents of that parity.
     """
@@ -278,4 +325,4 @@ def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
             vec[e] += 2 * j - 1
         else:
             vec[e - quarter] -= 2 * j - 1
-    return quarter % 2, _reduce_int_mod_phi(vec, period), m
+    return quarter % 2, _reduce_int_mod_phi(vec, reduction), m

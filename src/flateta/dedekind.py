@@ -11,17 +11,20 @@ and ``dedekind_cot`` is the cotangent form
 
 evaluated exactly in a cyclotomic field.  The two must agree on every
 coprime pair; the sawtooth route is deliberately kept free of any shared
-machinery so it can serve as an oracle for the cotangent route.
+machinery so it can serve as an oracle for the cotangent route.  It takes
+alpha - 1 Fraction steps and is refused above ``SAWTOOTH_ALPHA_MAX``.
 
 The cotangent route runs on integers.  Each cotangent in Q(zeta_M),
 M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
 row: at most deg = deg Phi_(M/2) integer coefficients in y = zeta_M^2,
 reduced mod Phi_(M/2) (see :mod:`flateta.cyclotomic`).  ``_cot_table``
-holds the half rows of cot(k*pi/alpha) for every k over one shared
-denominator, each packed into one int ``sum v[i] * 2^(bits*i)``
-(Kronecker substitution), so a polynomial product is one big-int
-multiplication.  The slot width is exact, not heuristic: with D the
-largest |coefficient| of the table, a coefficient of the sum in
+works out ``_reduction(M/2)`` once, builds the half rows of
+cot(k*pi/alpha) for k <= alpha/2 through it, brings them to one shared
+denominator (a row already over it is left as it is) and packs each,
+padded to deg slots, into one int ``sum v[i] * 2^(bits*i)`` (Kronecker
+substitution) under one shared bias, so a polynomial product is one
+big-int multiplication.  The slot width is exact, not heuristic: with D
+the largest |coefficient| of the table, a coefficient of the sum in
 ``_cot_sum`` adds at most alpha/2 pairs of rows times deg products, so
 its absolute value is at most (alpha//2 + 1) * deg * D^2; with that
 bound below 2^(bits-1), each slot holds its balanced digit in
@@ -29,9 +32,9 @@ bound below 2^(bits-1), each slot holds its balanced digit in
 read back are exactly the coefficients, and anything left above the top
 slot is an internal error.  The sum is unpacked once, multiplied by y
 when parity is 1 (the two factors zeta_M^parity make y^parity), reduced
-once mod Phi_(M/2) and certified rational before it is returned; its
-constant term is that of the sum in Q(zeta_M).  The route is refused
-above ``COT_ALPHA_MAX``.
+once mod Phi_(M/2) through the table's ``_reduction`` and certified
+rational before it is returned; its constant term is that of the sum in
+Q(zeta_M).  The route is refused above ``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 
-from .cyclotomic import (
-    FIELD_ORDER_MAX,
-    _cot_half,
-    _reduce_int_mod_phi,
-    cyclotomic_polynomial,
-)
+from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi, _reduction
 from .errors import DomainError
 
 
@@ -80,17 +78,29 @@ def _check_pair(beta: int, alpha: int) -> None:
 # Largest alpha the cotangent route accepts, 1000, so that its fields stay
 # within the cyclotomic module's ceiling.  Its cost follows deg Phi_M,
 # which peaks at prime alpha (deg = 2*(alpha - 1)): a cold alpha = 997 takes
-# about 1 s (README has the table).
+# about 0.5 s, most of it the first convolution (README has the table).
 COT_ALPHA_MAX = FIELD_ORDER_MAX // 4
+
+
+# Largest alpha the sawtooth route sums: its alpha - 1 Fraction products
+# take about 0.2 s at 10^4 and grow linearly, so a larger alpha is refused
+# rather than left to run.
+SAWTOOTH_ALPHA_MAX = 10**4
 
 
 def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
     """Dedekind sum by direct summation of sawtooth products.
 
     Brute force on purpose: this is the independent oracle for
-    ``dedekind_cot``.  alpha = 1 gives the empty sum 0.
+    ``dedekind_cot``.  alpha = 1 gives the empty sum 0; alpha above
+    SAWTOOTH_ALPHA_MAX is refused with DomainError.
     """
     _check_pair(beta, alpha)
+    if alpha > SAWTOOTH_ALPHA_MAX:
+        raise DomainError(
+            f"alpha = {alpha} is above SAWTOOTH_ALPHA_MAX = {SAWTOOTH_ALPHA_MAX}, "
+            "the largest alpha the sawtooth route sums"
+        )
     total = Fraction(0)
     for k in range(1, alpha):
         total += sawtooth(Fraction(k, alpha)) * sawtooth(Fraction(k * beta, alpha))
@@ -130,14 +140,24 @@ def _bias(slots: int, bits: int) -> int:
     return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * slots, "little")
 
 
+def _pack_rows(vectors, slots: int, bits: int) -> list[int]:
+    """Each vector, zero-padded to ``slots`` entries, as the integer
+    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1): each entry is
+    written biased into its own bytes, then the one bias of ``slots``
+    slots is taken off again (negative entries borrow from the slot above)."""
+    width, half = bits // 8, 1 << (bits - 1)
+    zero, bias = half.to_bytes(width, "little"), _bias(slots, bits)
+    return [
+        int.from_bytes(b"".join(map(int.to_bytes, map(half.__add__, vec),
+                                    repeat(width), repeat("little")))
+                       + zero * (slots - len(vec)), "little") - bias
+        for vec in vectors
+    ]
+
+
 def _pack(vec, bits: int) -> int:
-    """The integer sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1):
-    each entry is written biased into its own bytes, then the bias is
-    taken off again (negative entries borrow from the slot above)."""
-    half = 1 << (bits - 1)
-    raw = b"".join(map(int.to_bytes, map(half.__add__, vec),
-                       repeat(bits // 8), repeat("little")))
-    return int.from_bytes(raw, "little") - _bias(len(vec), bits)
+    """One vector packed on its own, as ``_pack_rows`` packs a row."""
+    return _pack_rows([vec], len(vec), bits)[0]
 
 
 def _unpack(packed: int, slots: int, bits: int) -> list[int]:
@@ -159,7 +179,7 @@ def _unpack(packed: int, slots: int, bits: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    order, parity, den, bits, degree, rows = _cot_table(alpha)
+    parity, den, bits, degree, reduction, rows = _cot_table(alpha)
     # Pair k with alpha-k: equal terms, so sum halves and doubles at the
     # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
     packed = 0
@@ -168,7 +188,7 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
     product = _unpack(packed, 2 * degree - 1, bits)
     if parity:
         product.insert(0, 0)
-    rem = _reduce_int_mod_phi(product, order // 2)
+    rem = _reduce_int_mod_phi(product, reduction)
     # The sum is rational exactly when nothing past the constant term is
     # left (the power basis is a Q-basis); certify that before returning.
     constant, *rest = rem or [0]
@@ -181,22 +201,22 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple, tuple[int, ...]]:
     """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
     as packed half rows over one shared denominator (see the module
     docstring for both and for the slot width).
 
-    Returns (M, parity, denominator, slot bits, deg Phi_(M/2), rows) with
-    rows 1-indexed.
+    Returns (parity, denominator, slot bits, deg Phi_(M/2),
+    _reduction(M/2), rows) with rows 1-indexed.
     """
-    order = lcm(4, 2 * alpha)
-    degree = len(cyclotomic_polynomial(order // 2)) - 1
+    reduction = _reduction(lcm(4, 2 * alpha) // 2)
+    degree = reduction[3]
     # cot(pi - x) = -cot(x): compute k <= alpha/2, negate the packed rest.
-    cots = [_cot_half(k, alpha) for k in range(1, alpha // 2 + 1)]
+    cots = [_cot_half(k, alpha, reduction) for k in range(1, alpha // 2 + 1)]
     parity = cots[0][0]  # M/4 mod 2, the same for every row
     den = lcm(*(m for _, _, m in cots))
-    vectors = [[c * (den // m) for c in half] for _, half, m in cots]
+    vectors = [half if m == den else [c * (den // m) for c in half] for _, half, m in cots]
     top = max(max(map(abs, vec), default=0) for vec in vectors)
     bits = _slot_bits((alpha // 2 + 1) * degree * top * top)
-    rows = [_pack(vec, bits) for vec in vectors]
-    return order, parity, den, bits, degree, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    rows = _pack_rows(vectors, degree, bits)
+    return parity, den, bits, degree, reduction, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import threading
 import tracemalloc
 
@@ -17,7 +18,7 @@ from flateta import (
     cot_exact,
     cyclotomic_polynomial,
 )
-from flateta.cyclotomic import FIELD_ORDER_MAX
+from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi, _reduction
 from flateta.dedekind import COT_ALPHA_MAX, _pack, _slot_bits, _unpack
 
 from helpers import embed_complex, embed_mp
@@ -65,6 +66,38 @@ class TestCyclotomicPolynomial:
     def test_invalid_order(self):
         with pytest.raises(DomainError):
             cyclotomic_polynomial(0)
+
+
+def _long_division(vec, order):
+    # plain sparse long division mod the monic Phi_order, one leading term
+    # at a time: the oracle for the staged reduction
+    phi = cyclotomic_polynomial(order)
+    dd = len(phi) - 1
+    rem = list(vec)
+    terms = [(j, c) for j, c in enumerate(phi[:dd]) if c]
+    for i in range(len(rem) - dd - 1, -1, -1):
+        c = rem[i + dd]
+        if c:
+            for j, d in terms:
+                rem[i + j] -= c * d
+    rem = rem[:dd]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+class TestReduction:
+    # odd orders (promoted reaches them), powers of two (no odd prime to
+    # tile with), 2 * prime (one-entry tiles) and the Dedekind route's fields
+    @pytest.mark.parametrize(
+        "order", [*range(1, 601), 960, 1155, 1994, 1998, 2000, 2310, 3996, 4000]
+    )
+    def test_matches_long_division(self, order):
+        rng = random.Random(order)
+        reduction = _reduction(order)
+        for length in (0, 1, order // 2, order - 1, order, order + 3, 2 * order, 3 * order + 1):
+            vec = [rng.randint(-999, 999) for _ in range(length)]
+            assert _reduce_int_mod_phi(vec, reduction) == _long_division(vec, order), length
 
 
 def _summed_products(pairs, length):

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from flateta import (
     DomainError,
+    cot_exact,
     cyclotomic,
     dedekind,
     dedekind_cot,
     dedekind_sawtooth,
     sawtooth,
 )
-from flateta.dedekind import COT_ALPHA_MAX
+from flateta.dedekind import COT_ALPHA_MAX, SAWTOOTH_ALPHA_MAX, _cot_table, _unpack
 
 
 def coprime_pairs(max_alpha, include_negative=True):
@@ -74,6 +75,12 @@ class TestSawtoothSum:
         with pytest.raises(DomainError):
             dedekind_sawtooth(1, 0)
 
+    def test_refuses_alpha_above_ceiling(self):
+        n = SAWTOOTH_ALPHA_MAX
+        assert dedekind_sawtooth(1, n) == Fraction((n - 1) * (n - 2), 12 * n)
+        with pytest.raises(DomainError, match="SAWTOOTH_ALPHA_MAX"):
+            dedekind_sawtooth(1, n + 1)
+
 
 class TestCotangentSum:
     @pytest.mark.parametrize(
@@ -131,6 +138,20 @@ class TestCotangentSum:
             dedekind_cot(1, COT_ALPHA_MAX + 1)
         with pytest.raises(DomainError):
             dedekind_cot(1, 10**9)
+
+
+@pytest.mark.parametrize("alpha", [*range(2, 121), 997, 998, 999, 1000])
+def test_packed_table_rows_are_scaled_cotangents(alpha):
+    # every row, the negated back half included, read back and spread by
+    # parity onto the power basis of Q(zeta_M), is den * cot(k*pi/alpha)
+    parity, den, bits, degree, _, rows = _cot_table(alpha)
+    for k in range(1, alpha):
+        row = [0] * (2 * degree)
+        row[parity::2] = _unpack(rows[k], degree, bits)
+        value = cot_exact(k, alpha)
+        assert den % value.denominator == 0
+        expected = [c * (den // value.denominator) for c in value.numerator]
+        assert row == expected + [0] * (2 * degree - len(expected)), k
 
 
 @pytest.mark.parametrize(

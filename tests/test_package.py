@@ -59,6 +59,9 @@ HOSTILE_CALLS = {
     "dedekind_cot_bool_beta": (lambda: flateta.dedekind_cot(True, 3), DomainError, "got True"),
     "dedekind_cot_bool_alpha": (lambda: flateta.dedekind_cot(1, True), DomainError, "and True"),
     "dedekind_sawtooth_bool": (lambda: flateta.dedekind_sawtooth(1, True), DomainError, "and True"),
+    "dedekind_sawtooth_huge_alpha": (
+        lambda: flateta.dedekind_sawtooth(1, 10**18), DomainError, "SAWTOOTH_ALPHA_MAX"
+    ),
     "cot_bool_k": (lambda: flateta.cot_exact(True, 3), DomainError, "k and n"),
     "polynomial_bool_order": (lambda: flateta.cyclotomic_polynomial(True), DomainError, "order"),
     "promoted_bool_order": (lambda: flateta.cot_exact(1, 3).promoted(True), DomainError, "order"),
