@@ -6,12 +6,14 @@ to stdout, errors to stderr.  Exit codes: 0 success, 1 usage, descriptor
 syntax or output error, 2 domain/validation error, 3 obstruction (a
 signature was implicitly requested but eta is not an integer).
 
-A command-first argv goes straight to that command's parser, and help
-comes back from it as text.  Each command only computes: it returns one
-result holding a payload of exact values, its --quiet lines and its
-human lines.  ``run()`` renders that result in the requested mode and
-maps every error onto its exit code through one table, so the three
-output modes cannot drift apart.
+A plain argv (a command with string positionals, those strings and
+exactly --json or --quiet) is read without argparse; any other
+command-first argv goes straight to that command's parser, which alone
+writes help (as text) and usage errors.  Each command only computes: it
+returns one result holding a payload of exact values, its --quiet lines
+and its human lines.  ``run()`` renders that result in the requested
+mode and maps every error onto its exit code through one table, so the
+three output modes cannot drift apart.
 
 With --json every invocation prints a single JSON object; exact
 rationals are serialized as "p/q" strings, never as floats.  The object
@@ -173,6 +175,40 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+# Each command's handler, help line and string positionals ({dest: help}),
+# declared once: _build_parser builds the parsers from this table, and
+# _parse reads a plain argv of a command with string positionals from it
+# without argparse.  None: the command's arguments are typed, so
+# _build_parser adds them and argparse reads every argv.
+_COMMANDS = {
+    "eta": (
+        _cmd_eta,
+        "exact eta-invariant with per-fiber breakdown",
+        {"descriptor": "Seifert descriptor, e.g. 'S2;(2,1)(3,-1)(6,-1)'"},
+    ),
+    "obstruct": (
+        _cmd_obstruct,
+        "geometric bounding obstruction report (exit 3 when obstructed)",
+        {"descriptor": "Seifert descriptor"},
+    ),
+    "dedekind": (
+        _cmd_dedekind,
+        "exact Dedekind sum s(beta, alpha), both evaluation paths",
+        None,
+    ),
+    "catalog": (
+        _cmd_catalog,
+        "the six orientable flat 3-manifolds and their eta-invariants",
+        {},
+    ),
+    "gauss-bonnet": (
+        _cmd_gauss_bonnet,
+        "volume <-> Euler characteristic conversion for hyperbolic 4-manifolds",
+        None,
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and {command: parser}, built once per process."""
@@ -193,44 +229,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
         shared.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=text)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (handler, text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=text)
+        for dest, meaning in (positionals or {}).items():
+            p.add_argument(dest, help=meaning)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser(
-        "eta",
-        parents=[shared],
-        help="exact eta-invariant with per-fiber breakdown",
-    )
-    p.add_argument("descriptor", help="Seifert descriptor, e.g. 'S2;(2,1)(3,-1)(6,-1)'")
-    p.set_defaults(handler=_cmd_eta)
-
-    p = sub.add_parser(
-        "obstruct",
-        parents=[shared],
-        help="geometric bounding obstruction report (exit 3 when obstructed)",
-    )
-    p.add_argument("descriptor", help="Seifert descriptor")
-    p.set_defaults(handler=_cmd_obstruct)
-
-    p = sub.add_parser(
-        "dedekind",
-        parents=[shared],
-        help="exact Dedekind sum s(beta, alpha), both evaluation paths",
-    )
+    p = sub.choices["dedekind"]
     p.add_argument("beta", type=int)
     p.add_argument("alpha", type=int)
-    p.set_defaults(handler=_cmd_dedekind)
 
-    p = sub.add_parser(
-        "catalog",
-        parents=[shared],
-        help="the six orientable flat 3-manifolds and their eta-invariants",
-    )
-    p.set_defaults(handler=_cmd_catalog)
-
-    p = sub.add_parser(
-        "gauss-bonnet",
-        parents=[shared],
-        help="volume <-> Euler characteristic conversion for hyperbolic 4-manifolds",
-    )
+    p = sub.choices["gauss-bonnet"]
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--chi", type=int, help="Euler characteristic to convert to volume")
     group.add_argument("--volume", type=float, help="volume to convert to Euler characteristic")
@@ -240,18 +249,39 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         default=1e-6,
         help="matching tolerance for --volume (default 1e-6)",
     )
-    p.set_defaults(handler=_cmd_gauss_bonnet)
 
     return parser, sub.choices
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv; a command-first argv skips the top-level pass, which only routes it."""
+    """Parse argv into the namespace the top-level parser builds.
+
+    A plain argv is decided without argparse: its command has string
+    positionals (eta, obstruct, catalog), and every later token is exactly
+    --json or --quiet, or one of exactly as many strings as the command has
+    positionals, none starting with '-'.  argparse reads such an argv the
+    same way on every supported Python, so the namespace is built directly.
+    Any other command-first argv goes to that command's parser, skipping
+    the top-level pass that only routes it, and the rest to the top-level
+    parser, so argparse alone writes every help text and usage error.
+    """
     parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        start = argparse.Namespace(json=False, quiet=False, command=argv[0])
-        return commands[argv[0]].parse_args(argv[1:], start)
-    return parser.parse_args(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    command = argv[0]
+    handler, _, positionals = _COMMANDS[command]
+    if positionals is not None:
+        strings = [a for a in argv[1:] if a != "--json" and a != "--quiet"]
+        if len(strings) == len(positionals) and not any(a.startswith("-") for a in strings):
+            return argparse.Namespace(
+                json="--json" in argv,
+                quiet="--quiet" in argv,
+                command=command,
+                **dict(zip(positionals, strings)),
+                handler=handler,
+            )
+    start = argparse.Namespace(json=False, quiet=False, command=command)
+    return commands[command].parse_args(argv[1:], start)
 
 
 # Exit code of each error class; every FlatEtaError the CLI reports is one

@@ -11,6 +11,7 @@ and the orbifold Euler characteristic of the base vanish.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,14 +118,35 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 #   pair       := "(" integer "," integer ")"
 #   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
 #
-# b defaults to 0; whitespace is ignored everywhere.  _TOKEN reads one
-# token at a time after any whitespace: an integer (group 2), a base, any
-# other single character, or the empty end of the text.  parse_descriptor
-# mirrors the lines above as take(...) sequences of tokens.  Error offsets
-# are UTF-8 byte offsets of the failing token.
+# b defaults to 0; whitespace (re's \s, which is str.isspace()) is ignored
+# between tokens.  _WELL_FORMED is these lines as one pattern, and
+# parse_descriptor accepts a text it fully matches in one step.  Every
+# other text, and one whose integer is past int()'s digit limit, goes to
+# _walk, which alone decides each error: _TOKEN reads one token at a time
+# after any whitespace (an integer in group 2, a base, any other single
+# character, or the empty end of the text) and _walk mirrors the lines
+# above as take(...) sequences of tokens.  Error offsets are UTF-8 byte
+# offsets of the failing token.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
+
+
+def _atomic(template: str) -> re.Pattern:
+    """Compile template with each '_' read as whitespace and each '#' as
+    an integer, both taken whole: a lookahead captures the longest run and
+    a backreference consumes it, so a failing match never backtracks into
+    a long run (possessive quantifiers need Python 3.11).  These captures
+    are the pattern's only groups."""
+    runs = {"_": r"\s*", "#": r"[+-]?[0-9]+"}
+    groups = itertools.count(1)
+    return re.compile(
+        re.sub(r"[_#]", lambda m: rf"(?=({runs[m[0]]}))\{next(groups)}", template)
+    )
+
+
+_WELL_FORMED = _atomic(r"_(?:S2|T2)_;_(?:b_=_#_;_)?(?:\(_#_,_#_\)_)*")
+_VALUES = re.compile(r"S2|T2|[+-]?[0-9]+")  # in well-formed text: the base, then the integers
 
 
 def parse_descriptor(text: str) -> SeifertData:
@@ -132,6 +154,19 @@ def parse_descriptor(text: str) -> SeifertData:
     'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
     if not isinstance(text, str):
         raise DomainError(f"descriptor must be a str, got {text!r}")
+    if _WELL_FORMED.fullmatch(text):
+        base, *values = _VALUES.findall(text)
+        try:
+            values = list(map(int, values))
+        except ValueError:  # past int()'s digit limit: _walk names the integer
+            return _walk(text)
+        b = values.pop(0) if "b" in text else 0
+        return SeifertData(base, b, tuple(map(FiberPair, values[::2], values[1::2])))
+    return _walk(text)
+
+
+def _walk(text: str) -> SeifertData:
+    """parse_descriptor token by token; the source of every syntax error."""
     tokens = _TOKEN.finditer(text)  # lazily: junk fails at its first token
     token = next(tokens)
 

@@ -31,7 +31,7 @@ from flateta import (
     render_descriptor,
     run,
 )
-from flateta import cli
+from flateta import cli, seifert
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -133,11 +133,21 @@ class TestParseDescriptor:
         assert str(excinfo.value) == f"{message} (byte {offset})"
         assert excinfo.value.offset == offset
 
-    @pytest.mark.parametrize("space", [" ", "\u3000"], ids=["ascii", "ideographic"])
-    def test_long_whitespace_run_fails_promptly(self, space):
+    @pytest.mark.parametrize(
+        "head, run, tail, offset",
+        [
+            ("S2;", " ", "x", 3 + 10**7),
+            ("S2;", "\u3000", "x", 3 + 3 * 10**7),
+            ("S2;(", "1", "", 4),  # past int()'s digit limit
+            ("S2;(2,1)", " ", "(", 8 + 10**7 + 1),  # the end of the text
+        ],
+        ids=["ascii", "ideographic", "digits", "space_before_pair"],
+    )
+    def test_long_whitespace_run_fails_promptly(self, head, run, tail, offset):
         # a scanner that steps over whitespace one character at a time in
-        # Python takes over a second here
-        text = "S2;" + space * 10**7 + "x"
+        # Python takes over a second here; a pattern that backtracks
+        # through the run takes close to one
+        text = head + run * 10**7 + tail
         outcome = []
 
         def attempt():
@@ -150,7 +160,7 @@ class TestParseDescriptor:
         worker.start()
         worker.join(timeout=1)
         assert not worker.is_alive()
-        assert outcome == [3 + len(space.encode()) * 10**7]
+        assert outcome == [offset]
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -243,6 +253,21 @@ def _mutated(draw):
     return text
 
 
+@st.composite
+def _spaced(draw):
+    """A rendered descriptor with whitespace drawn before each token and at the end."""
+    tokens = _TOKEN.findall(render_descriptor(draw(_SEIFERT_DATA)))
+    return "".join(draw(_WHITESPACE) + token for token in tokens) + draw(_WHITESPACE)
+
+
+def _parse_outcome(parse, text):
+    """The parsed value, or the error's type, message and offset."""
+    try:
+        return parse(text)
+    except (DescriptorSyntaxError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
 class TestDescriptorGrammarProperties:
     @given(data=_SEIFERT_DATA)
     @settings(max_examples=200, deadline=None)
@@ -257,6 +282,13 @@ class TestDescriptorGrammarProperties:
             spacing.draw(_WHITESPACE) + token for token in _TOKEN.findall(canonical)
         ) + spacing.draw(_WHITESPACE)
         assert render_descriptor(parse_descriptor(spaced)) == canonical
+
+    @given(text=st.one_of(_mutated(), _spaced(), _SEIFERT_DATA.map(render_descriptor)))
+    @settings(max_examples=400, deadline=None)
+    def test_one_step_parse_matches_the_walk(self, text):
+        # parse_descriptor accepts well-formed text in one step and hands
+        # the rest to the token walk; both must agree on every text
+        assert _parse_outcome(parse_descriptor, text) == _parse_outcome(seifert._walk, text)
 
     @given(text=_mutated())
     @settings(max_examples=400, deadline=None)
@@ -398,10 +430,39 @@ class TestRouteEquivalence:
             ["gauss-bonnet", "--chi=-2"],
             ["eta", "T2;", "eta", "T2;"],
             ["eta", "catalog"],
+            # at the boundary of the argvs _parse reads without argparse
+            ["eta", ""],
+            ["eta"],
+            ["obstruct", "--json", "--quiet"],
+            ["eta", " -S2;"],
+            ["obstruct", "-1"],
+            ["eta", "-"],
+            ["eta", "T2;", "x"],
+            ["catalog", ""],
+            ["eta", "T2;", "--json", "--quiet", "--json"],
+            ["eta", "T2;", "\u2014json"],  # an em dash, not "--"
         ],
     )
     def test_edge_argvs(self, argv):
         _assert_same_route(argv)
+
+    def test_plain_argvs_skip_argparse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse was asked")
+
+        parser, commands = cli._build_parser()
+        for each in (parser, *commands.values()):
+            monkeypatch.setattr(each, "parse_args", refuse)
+        plain = [
+            ["eta", "T2;", "--json"],
+            ["obstruct", "S2;(2,1)(2,1)(2,-1)(2,-1)", "--quiet"],
+            ["catalog"],
+        ]
+        for argv in plain:
+            assert cli._parse(argv).command == argv[0]
+        for argv in (["eta", "T2;", "--js"], ["eta", "--", "T2;"]):
+            with pytest.raises(AssertionError, match="argparse was asked"):
+                cli._parse(argv)
 
 
 class TestEtaCommand:
