@@ -10,10 +10,11 @@ A plain argv (a command with string positionals, those strings and
 exactly --json or --quiet) is read without argparse; any other
 command-first argv goes straight to that command's parser, which alone
 writes help (as text) and usage errors.  Each command only computes: it
-returns one result holding a payload of exact values, its --quiet lines
-and its human lines.  ``run()`` renders that result in the requested
-mode and maps every error onto its exit code through one table, so the
-three output modes cannot drift apart.
+returns one result holding a payload of exact values and one renderer
+each for its --quiet and its human text.  ``run()`` writes the payload
+through one shared JSON encoder under --json and otherwise calls only
+the renderer of the requested mode, so no call builds text it does not
+print, and it maps every error onto its exit code through one table.
 
 With --json every invocation prints a single JSON object; exact
 rationals are serialized as "p/q" strings, never as floats.  The object
@@ -27,7 +28,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .dedekind import dedekind_cot, dedekind_sawtooth
 from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError
@@ -45,12 +46,14 @@ SCHEMA_VERSION = "1"
 
 class _Result(NamedTuple):
     """What a command found: the JSON payload (exact values as Fractions),
-    the --quiet lines, the human lines, and an error to report after the
-    output is written (exit 3 for an obstructed ``obstruct``)."""
+    the renderers of its --quiet and of its human text, each returning
+    the lines and called only when that mode is asked for, and an error to
+    report after the output is written (exit 3 for an obstructed
+    ``obstruct``)."""
 
     payload: dict
-    quiet: list[str]
-    human: list[str]
+    quiet: Callable[[], list[str]]
+    human: Callable[[], list[str]]
     error: ObstructionError | None = None
 
 
@@ -69,16 +72,21 @@ def _eta_payload(data: SeifertData, result: EtaResult) -> dict:
 def _cmd_eta(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     result = eta_flat(data)
-    human = [f"eta = {result.value}", f"integral: {'yes' if result.integral else 'no'}"]
-    human += [f"  fiber ({f.alpha},{f.beta}): s = {c}" for f, c in result.fiber_contributions]
-    return _Result(_eta_payload(data, result), [str(result.value)], human)
+    return _Result(
+        _eta_payload(data, result),
+        lambda: [str(result.value)],
+        lambda: [
+            f"eta = {result.value}",
+            f"integral: {'yes' if result.integral else 'no'}",
+            *(f"  fiber ({f.alpha},{f.beta}): s = {c}" for f, c in result.fiber_contributions),
+        ],
+    )
 
 
 def _cmd_obstruct(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     report = obstruction_report(data)
     eta, signature = report.eta.value, report.predicted_signature
-    verdict = "obstructed" if report.geodesic_boundary_obstructed else "not obstructed"
     payload = _eta_payload(data, report.eta)
     payload.update(
         geodesic_boundary_obstructed=report.geodesic_boundary_obstructed,
@@ -86,21 +94,25 @@ def _cmd_obstruct(args) -> _Result:
         predicted_signature=signature,
         note=MULTI_CUSP_NOTE,
     )
-    human = [
-        f"eta = {eta} ({'an integer' if report.eta.integral else 'not an integer'})",
-        f"totally geodesic boundary of a compact hyperbolic 4-manifold: {verdict}",
-        "cusp cross-section of a one-cusped finite-volume hyperbolic "
-        f"4-manifold: {verdict}",
-        f"predicted filler signature: {'none' if signature is None else signature}",
-        f"note: {MULTI_CUSP_NOTE}",
-    ]
+
+    def human() -> list[str]:
+        verdict = "obstructed" if report.geodesic_boundary_obstructed else "not obstructed"
+        return [
+            f"eta = {eta} ({'an integer' if report.eta.integral else 'not an integer'})",
+            f"totally geodesic boundary of a compact hyperbolic 4-manifold: {verdict}",
+            "cusp cross-section of a one-cusped finite-volume hyperbolic "
+            f"4-manifold: {verdict}",
+            f"predicted filler signature: {'none' if signature is None else signature}",
+            f"note: {MULTI_CUSP_NOTE}",
+        ]
+
     if signature is not None:
-        return _Result(payload, [f"not obstructed; predicted signature {signature}"], human)
+        return _Result(payload, lambda: [f"not obstructed; predicted signature {signature}"], human)
     error = ObstructionError(
         f"eta = {eta} is not an integer; geometric bounding is obstructed, "
         "no signature prediction exists"
     )
-    return _Result(payload, ["obstructed"], human, error)
+    return _Result(payload, lambda: ["obstructed"], human, error)
 
 
 def _cmd_dedekind(args) -> _Result:
@@ -110,8 +122,8 @@ def _cmd_dedekind(args) -> _Result:
     saw = dedekind_sawtooth(args.beta, args.alpha)
     return _Result(
         {"beta": args.beta, "alpha": args.alpha, "sawtooth": saw, "cotangent": cot},
-        [str(saw)],
-        [
+        lambda: [str(saw)],
+        lambda: [
             f"s({args.beta},{args.alpha}) = {saw}",
             f"  sawtooth path:  {saw}",
             f"  cotangent path: {cot}",
@@ -120,6 +132,14 @@ def _cmd_dedekind(args) -> _Result:
 
 
 def _cmd_catalog(args) -> _Result:
+    return _catalog()
+
+
+@lru_cache(maxsize=1)
+def _catalog() -> _Result:
+    """The catalog command's result, a per-process constant built on the
+    first call: its rows and lines are its own, so a caller that mutates
+    what flat_catalog() returned cannot change it."""
     rows, quiet, human = [], [], []
     for e in flat_catalog():
         desc = render_descriptor(e.seifert) if e.seifert else None
@@ -141,7 +161,7 @@ def _cmd_catalog(args) -> _Result:
             kind = "an integer" if e.eta_integral else "not an integer"
             human.append(f"    eta = {e.eta} ({kind})")
         human.append(f"    {e.note}")
-    return _Result({"entries": rows}, quiet, human)
+    return _Result({"entries": rows}, lambda: quiet, lambda: human)
 
 
 def _cmd_gauss_bonnet(args) -> _Result:
@@ -149,12 +169,14 @@ def _cmd_gauss_bonnet(args) -> _Result:
         value = volume_from_chi(args.chi)
         return _Result(
             {"chi": args.chi, "volume_coefficient": value.coefficient, "volume": value.approx},
-            [value.approx],
-            [f"volume = {value.coefficient}*pi^2 = {value.approx}"],
+            lambda: [value.approx],
+            lambda: [f"volume = {value.coefficient}*pi^2 = {value.approx}"],
         )
     chi = chi_from_volume(args.volume, args.tol)
     return _Result(
-        {"volume": args.volume, "tolerance": args.tol, "chi": chi}, [str(chi)], [f"chi = {chi}"]
+        {"volume": args.volume, "tolerance": args.tol, "chi": chi},
+        lambda: [str(chi)],
+        lambda: [f"chi = {chi}"],
     )
 
 
@@ -290,10 +312,15 @@ _EXIT_CODES = {UsageError: 1, DescriptorSyntaxError: 1, DomainError: 2, Obstruct
 
 
 def _exact(value):
-    """json.dumps hook: an exact rational is written as "p/q"."""
+    """JSON encoder hook: an exact rational is written as "p/q"."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# json.dumps(..., default=_exact) built once; encode() keeps its state per
+# call, so concurrent run() calls can share it.
+_JSON = json.JSONEncoder(default=_exact)
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -307,15 +334,15 @@ def run(argv, stdout=None, stderr=None) -> int:
         result = args.handler(args)
         if args.json:
             header = {"schema": SCHEMA_VERSION, "command": args.command}
-            text = json.dumps(header | result.payload, default=_exact) + "\n"
+            text = _JSON.encode(header | result.payload) + "\n"
         else:
-            text = "\n".join(result.quiet if args.quiet else result.human) + "\n"
+            text = "\n".join((result.quiet if args.quiet else result.human)()) + "\n"
         error = result.error
     except _Help as shown:
         text, error = str(shown), None
     except tuple(_EXIT_CODES) as exc:
         text, error = "", exc
-    code = next((code for kind, code in _EXIT_CODES.items() if isinstance(error, kind)), 0)
+    code = 0 if error is None else next(c for k, c in _EXIT_CODES.items() if isinstance(error, k))
     try:
         if text:
             print(text, end="", file=out, flush=True)  # out is None: no stdout, no output

@@ -11,8 +11,10 @@ and ``dedekind_cot`` is the cotangent form
 
 evaluated exactly in a cyclotomic field.  The two must agree on every
 coprime pair; the sawtooth route is deliberately kept free of any shared
-machinery so it can serve as an oracle for the cotangent route.  It takes
-alpha - 1 Fraction steps and is refused above ``SAWTOOTH_ALPHA_MAX``.
+machinery so it can serve as an oracle for the cotangent route.  It sums
+the alpha - 1 products as integers over one denominator 4*alpha^2, and
+tests pin it to the sum of ``sawtooth`` products itself; it is refused
+above ``SAWTOOTH_ALPHA_MAX``.
 
 The cotangent route runs on integers.  Each cotangent in Q(zeta_M),
 M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
@@ -82,9 +84,9 @@ def _check_pair(beta: int, alpha: int) -> None:
 COT_ALPHA_MAX = FIELD_ORDER_MAX // 4
 
 
-# Largest alpha the sawtooth route sums: its alpha - 1 Fraction products
-# take about 0.2 s at 10^4 and grow linearly, so a larger alpha is refused
-# rather than left to run.
+# Largest alpha the sawtooth route sums: its alpha - 1 integer products
+# take about 1.5 ms at 10^4 (CPython 3.11, x86-64) and grow linearly, so a
+# larger alpha is refused rather than left to run.
 SAWTOOTH_ALPHA_MAX = 10**4
 
 
@@ -101,10 +103,12 @@ def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
             f"alpha = {alpha} is above SAWTOOTH_ALPHA_MAX = {SAWTOOTH_ALPHA_MAX}, "
             "the largest alpha the sawtooth route sums"
         )
-    total = Fraction(0)
-    for k in range(1, alpha):
-        total += sawtooth(Fraction(k, alpha)) * sawtooth(Fraction(k * beta, alpha))
-    return total
+    # For coprime beta and 0 < k < alpha neither k/alpha nor k*beta/alpha is
+    # an integer, so ((k/alpha)) = (2k - alpha)/(2*alpha) and
+    # ((k*beta/alpha)) = (2*(k*beta mod alpha) - alpha)/(2*alpha).
+    b = beta % alpha
+    total = sum((2 * k - alpha) * (2 * (k * b % alpha) - alpha) for k in range(1, alpha))
+    return Fraction(total, 4 * alpha * alpha)
 
 
 def dedekind_cot(beta: int, alpha: int) -> Fraction:

@@ -71,9 +71,9 @@ def eta_flat(s: SeifertData) -> EtaResult:
     value is metric-independent).  The empty fiber list gives eta = 0.
     The fiber sums add as integers over the lcm D of their denominators.
     """
-    e, chi_orb = _flatness(s)
-    problems = [(name, value) for name, value in (("e", e), ("chi_orb", chi_orb)) if value]
-    if problems:
+    e, chi_orb, lcm_alpha = _flatness(s)
+    if e or chi_orb:  # not flat: Fractions only for the message
+        problems = [(n, Fraction(v, lcm_alpha)) for n, v in (("e", e), ("chi_orb", chi_orb)) if v]
         try:
             shown = [f"{name} = {value}" for name, value in problems]
         except ValueError:  # past int's str digit limit: give the sign only

@@ -88,25 +88,28 @@ def validate(s: SeifertData) -> SeifertData:
     return s
 
 
-def _flatness(s: SeifertData) -> tuple[Fraction, Fraction]:
-    """(e, chi_orb), whose vanishing is flatness; checks the type once.
+def _flatness(s: SeifertData) -> tuple[int, int, int]:
+    """(e_num, chi_num, L) with e = e_num/L and chi_orb = chi_num/L, both
+    vanishing exactly when the data is flat; checks the type once.
     Integer sums over L = lcm(alpha_i), each share q_i = L/alpha_i taken
-    once: e = -(b*L + sum beta_i*q_i)/L, chi_orb = ((2-2g-n)*L + sum q_i)/L."""
+    once: e_num = -(b*L + sum beta_i*q_i), chi_num = (2-2g-n)*L + sum q_i."""
     validate(s)
     den = lcm(*(f.alpha for f in s.fibers))
     shares = [den // f.alpha for f in s.fibers]
     e = -(s.b * den + sum(f.beta * q for f, q in zip(s.fibers, shares)))
-    return Fraction(e, den), Fraction((2 - 2 * s.genus - len(shares)) * den + sum(shares), den)
+    return e, (2 - 2 * s.genus - len(shares)) * den + sum(shares), den
 
 
 def euler_number(s: SeifertData) -> Fraction:
     """Euler number e = -(b + sum beta_i/alpha_i) of the fibration."""
-    return _flatness(s)[0]
+    e, _, den = _flatness(s)
+    return Fraction(e, den)
 
 
 def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     """chi_orb = 2 - 2*genus - sum (1 - 1/alpha_i) of the base orbifold."""
-    return _flatness(s)[1]
+    _, chi, den = _flatness(s)
+    return Fraction(chi, den)
 
 
 # ---------------------------------------------------------------------------

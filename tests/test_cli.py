@@ -31,7 +31,7 @@ from flateta import (
     render_descriptor,
     run,
 )
-from flateta import cli, seifert
+from flateta import cli, eta, seifert
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -605,6 +605,22 @@ class TestCatalogCommand:
             if entry.seifert is not None:
                 assert row["descriptor"] == render_descriptor(entry.seifert)
 
+    def test_built_once_and_kept_apart_from_the_library_list(self, monkeypatch):
+        computed, returned = [], []
+        real_eta_flat, real_catalog = eta.eta_flat, cli.flat_catalog
+        monkeypatch.setattr(eta, "eta_flat", lambda s: computed.append(s) or real_eta_flat(s))
+        monkeypatch.setattr(
+            cli, "flat_catalog", lambda: returned.append(real_catalog()) or returned[-1]
+        )
+        cli._catalog.cache_clear()
+        first = [invoke("catalog", *mode) for mode in ((), ("--quiet",), ("--json",))]
+        assert len(computed) == 5 and len(returned) == 1
+        returned[0].reverse()
+        del returned[0][1:]
+        again = [invoke("catalog", *mode) for mode in ((), ("--quiet",), ("--json",))]
+        assert again == first
+        assert len(computed) == 5 and len(returned) == 1
+
 
 class TestGaussBonnetCommand:
     def test_chi_to_volume(self):
@@ -718,9 +734,12 @@ class TestCliContract:
         assert capsys.readouterr() == ("", "")
 
     def test_concurrent_runs_leave_sys_stdout_alone(self):
-        # Eight threads, each with its own streams, alternate help and a result.
+        # Eight threads, each with its own streams, alternate help and results,
+        # sharing the JSON encoder and the once-built catalog.
         stdout = sys.stdout
-        cases = [(argv, invoke(*argv)[1]) for argv in (["eta", "--help"], ["eta", "T2;"])]
+        argvs = (["eta", "--help"], ["eta", "T2;"], ["eta", "T2;", "--json"], ["catalog", "--json"])
+        cases = [(argv, invoke(*argv)[1]) for argv in argvs]
+        cli._catalog.cache_clear()  # the threads race to build it
         assert cases[0][1].startswith("usage: flateta eta")
         failures = []
 

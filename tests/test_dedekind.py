@@ -63,6 +63,19 @@ class TestSawtoothSum:
         assert dedekind_sawtooth(3, 7) == Fraction(-1, 14)
         assert dedekind_sawtooth(1, 3) == Fraction(1, 18)
 
+    def test_matches_its_literal_definition(self):
+        # The integer sum against sum ((k/alpha)) ((k*beta/alpha)) itself,
+        # beta < 0 and beta > alpha included.
+        for alpha in range(1, 61):
+            for beta in range(-2 * alpha - 1, 2 * alpha + 2):
+                if gcd(beta, alpha) == 1:
+                    literal = sum(
+                        (sawtooth(Fraction(k, alpha)) * sawtooth(Fraction(k * beta, alpha))
+                         for k in range(1, alpha)),
+                        Fraction(0),
+                    )
+                    assert dedekind_sawtooth(beta, alpha) == literal, (beta, alpha)
+
     @pytest.mark.parametrize("n", range(2, 61))
     def test_closed_form_for_beta_one(self, n):
         assert dedekind_sawtooth(1, n) == Fraction((n - 1) * (n - 2), 12 * n)
