@@ -6,15 +6,12 @@ to stdout, errors to stderr.  Exit codes: 0 success, 1 usage, descriptor
 syntax or output error, 2 domain/validation error, 3 obstruction (a
 signature was implicitly requested but eta is not an integer).
 
-A plain argv (a command with string positionals, those strings and
-exactly --json or --quiet) is read without argparse; any other
-command-first argv goes straight to that command's parser, which alone
-writes help (as text) and usage errors.  Each command only computes: it
-returns one result holding a payload of exact values and one renderer
-each for its --quiet and its human text.  ``run()`` writes the payload
-through one shared JSON encoder under --json and otherwise calls only
-the renderer of the requested mode, so no call builds text it does not
-print, and it maps every error onto its exit code through one table.
+``_COMMANDS`` declares each command's whole grammar; ``_parse`` reads
+every argv against it and writes help and usage errors itself, the same
+bytes on every Python.  Each command only computes: it returns one
+renderer each for its JSON payload of exact values, its --quiet and its
+human text.  ``run()`` calls only the one asked for (JSON through one
+shared encoder) and maps any error onto its exit code through one table.
 
 With --json every invocation prints a single JSON object; exact
 rationals are serialized as "p/q" strings, never as floats.  The object
@@ -23,11 +20,12 @@ layout is documented in docs/output.schema.json.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .dedekind import dedekind_cot, dedekind_sawtooth
@@ -45,13 +43,12 @@ SCHEMA_VERSION = "1"
 
 
 class _Result(NamedTuple):
-    """What a command found: the JSON payload (exact values as Fractions),
-    the renderers of its --quiet and of its human text, each returning
-    the lines and called only when that mode is asked for, and an error to
-    report after the output is written (exit 3 for an obstructed
-    ``obstruct``)."""
+    """What a command found: the renderers of its JSON payload (exact
+    values as Fractions), of its --quiet and of its human lines, each
+    called only when that mode is asked for, and an error to report after
+    the output is written (exit 3 for an obstructed ``obstruct``)."""
 
-    payload: dict
+    payload: Callable[[], dict]
     quiet: Callable[[], list[str]]
     human: Callable[[], list[str]]
     error: ObstructionError | None = None
@@ -73,7 +70,7 @@ def _cmd_eta(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     result = eta_flat(data)
     return _Result(
-        _eta_payload(data, result),
+        lambda: _eta_payload(data, result),
         lambda: [str(result.value)],
         lambda: [
             f"eta = {result.value}",
@@ -87,13 +84,14 @@ def _cmd_obstruct(args) -> _Result:
     data = parse_descriptor(args.descriptor)
     report = obstruction_report(data)
     eta, signature = report.eta.value, report.predicted_signature
-    payload = _eta_payload(data, report.eta)
-    payload.update(
-        geodesic_boundary_obstructed=report.geodesic_boundary_obstructed,
-        one_cusped_cross_section_obstructed=report.one_cusped_cross_section_obstructed,
-        predicted_signature=signature,
-        note=MULTI_CUSP_NOTE,
-    )
+
+    def payload() -> dict:
+        return _eta_payload(data, report.eta) | {
+            "geodesic_boundary_obstructed": report.geodesic_boundary_obstructed,
+            "one_cusped_cross_section_obstructed": report.one_cusped_cross_section_obstructed,
+            "predicted_signature": signature,
+            "note": MULTI_CUSP_NOTE,
+        }
 
     def human() -> list[str]:
         verdict = "obstructed" if report.geodesic_boundary_obstructed else "not obstructed"
@@ -121,7 +119,7 @@ def _cmd_dedekind(args) -> _Result:
     cot = dedekind_cot(args.beta, args.alpha)
     saw = dedekind_sawtooth(args.beta, args.alpha)
     return _Result(
-        {"beta": args.beta, "alpha": args.alpha, "sawtooth": saw, "cotangent": cot},
+        lambda: {"beta": args.beta, "alpha": args.alpha, "sawtooth": saw, "cotangent": cot},
         lambda: [str(saw)],
         lambda: [
             f"s({args.beta},{args.alpha}) = {saw}",
@@ -129,10 +127,6 @@ def _cmd_dedekind(args) -> _Result:
             f"  cotangent path: {cot}",
         ],
     )
-
-
-def _cmd_catalog(args) -> _Result:
-    return _catalog()
 
 
 @lru_cache(maxsize=1)
@@ -161,149 +155,150 @@ def _catalog() -> _Result:
             kind = "an integer" if e.eta_integral else "not an integer"
             human.append(f"    eta = {e.eta} ({kind})")
         human.append(f"    {e.note}")
-    return _Result({"entries": rows}, lambda: quiet, lambda: human)
+    return _Result(lambda: {"entries": rows}, lambda: quiet, lambda: human)
 
 
 def _cmd_gauss_bonnet(args) -> _Result:
     if args.chi is not None:
         value = volume_from_chi(args.chi)
         return _Result(
-            {"chi": args.chi, "volume_coefficient": value.coefficient, "volume": value.approx},
+            lambda: {"chi": args.chi, "volume_coefficient": value.coefficient,
+                     "volume": value.approx},
             lambda: [value.approx],
             lambda: [f"volume = {value.coefficient}*pi^2 = {value.approx}"],
         )
     chi = chi_from_volume(args.volume, args.tol)
     return _Result(
-        {"volume": args.volume, "tolerance": args.tol, "chi": chi},
+        lambda: {"volume": args.volume, "tolerance": args.tol, "chi": chi},
         lambda: [str(chi)],
         lambda: [f"chi = {chi}"],
     )
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# argv reader and dispatch
 # ---------------------------------------------------------------------------
 
 
 class _Help(Exception):
-    """--help was given; the single argument is the help text."""
+    """-h or --help was given; the single argument is the help text."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+class _Arg(NamedTuple):
+    """A command's argument: a required positional, or a "--" option taking one value."""
 
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
+    name: str
+    convert: Callable = str
+    help: str = ""
+    default: object = None
+    one_of: bool = False  # exactly one of a command's one_of options is given
 
 
-# Each command's handler, help line and string positionals ({dest: help}),
-# declared once: _build_parser builds the parsers from this table, and
-# _parse reads a plain argv of a command with string positionals from it
-# without argparse.  None: the command's arguments are typed, so
-# _build_parser adds them and argparse reads every argv.
+# Each command's handler, help line and arguments: with _FLAGS, its grammar.
 _COMMANDS = {
-    "eta": (
-        _cmd_eta,
-        "exact eta-invariant with per-fiber breakdown",
-        {"descriptor": "Seifert descriptor, e.g. 'S2;(2,1)(3,-1)(6,-1)'"},
-    ),
-    "obstruct": (
-        _cmd_obstruct,
-        "geometric bounding obstruction report (exit 3 when obstructed)",
-        {"descriptor": "Seifert descriptor"},
-    ),
-    "dedekind": (
-        _cmd_dedekind,
-        "exact Dedekind sum s(beta, alpha), both evaluation paths",
-        None,
-    ),
-    "catalog": (
-        _cmd_catalog,
-        "the six orientable flat 3-manifolds and their eta-invariants",
-        {},
-    ),
+    "eta": (_cmd_eta, "exact eta-invariant with per-fiber breakdown",
+            (_Arg("descriptor", help="Seifert descriptor, e.g. 'S2;(2,1)(3,-1)(6,-1)'"),)),
+    "obstruct": (_cmd_obstruct, "geometric bounding obstruction report (exit 3 when obstructed)",
+                 (_Arg("descriptor", help="Seifert descriptor"),)),
+    "dedekind": (_cmd_dedekind, "exact Dedekind sum s(beta, alpha), both evaluation paths",
+                 (_Arg("beta", int, "coprime to alpha"), _Arg("alpha", int, "integer >= 1"))),
+    "catalog": (lambda args: _catalog(),
+                "the six orientable flat 3-manifolds and their eta-invariants", ()),
     "gauss-bonnet": (
         _cmd_gauss_bonnet,
         "volume <-> Euler characteristic conversion for hyperbolic 4-manifolds",
-        None,
+        (_Arg("--chi", int, "Euler characteristic to convert to volume", one_of=True),
+         _Arg("--volume", float, "volume to convert to Euler characteristic", one_of=True),
+         _Arg("--tol", float, "matching tolerance for --volume (default 1e-6)", 1e-6)),
     ),
 }
+_FLAGS = ["-h", "--help", "--json", "--quiet"]
+_ABOUT = """Exact eta-invariants of orientable flat Seifert fibered 3-manifolds
+and integrality obstructions to geometric bounding."""
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and {command: parser}, built once per process."""
-    parser = _Parser(
-        prog="flateta",
-        description=(
-            "Exact eta-invariants of orientable flat Seifert fibered "
-            "3-manifolds and integrality obstructions to geometric bounding."
-        ),
-    )
-    # Each flag twice: hidden before the command (default False), and in
-    # every command, where it is left out of the namespace unless given.
-    shared = argparse.ArgumentParser(add_help=False)
-    for flag, text in (
-        ("--json", 'emit a single JSON object (rationals as "p/q" strings)'),
-        ("--quiet", "print only the primary result"),
-    ):
-        parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
-        shared.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=text)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (handler, text, positionals) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[shared], help=text)
-        for dest, meaning in (positionals or {}).items():
-            p.add_argument(dest, help=meaning)
-        p.set_defaults(handler=handler)
-
-    p = sub.choices["dedekind"]
-    p.add_argument("beta", type=int)
-    p.add_argument("alpha", type=int)
-
-    p = sub.choices["gauss-bonnet"]
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--chi", type=int, help="Euler characteristic to convert to volume")
-    group.add_argument("--volume", type=float, help="volume to convert to Euler characteristic")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-6,
-        help="matching tolerance for --volume (default 1e-6)",
-    )
-
-    return parser, sub.choices
+def _help(command) -> str:
+    """The help text of a command, or of the tool when command is None."""
+    commands = tuple(_Arg(name, help=entry[1]) for name, entry in _COMMANDS.items())
+    _, text, arguments = _COMMANDS.get(command, (None, _ABOUT, commands))
+    shown = [f"{a.name} {a.name[2:].upper()}" if a.name[0] == "-" else a.name for a in arguments]
+    group = " | ".join(s for s, a in zip(shown, arguments) if a.one_of)
+    words = [s if a.name[0] != "-" else f"[{s}]" for s, a in zip(shown, arguments) if not a.one_of]
+    words = ([f"({group})"] if group else []) + words if command else ["command ..."]
+    rows = [*zip(shown, (a.help for a in arguments)), ("-h, --help", "show this help and exit"),
+            ("--json", 'emit a single JSON object (rationals as "p/q" strings)'),
+            ("--quiet", "print only the primary result")]
+    usage = " ".join(filter(None, ["usage: flateta", command, "[-h] [--json] [--quiet]", *words]))
+    return "\n".join([usage, "", text, "", *(f"  {a:<17} {b}" for a, b in rows)]) + "\n"
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse argv into the namespace the top-level parser builds.
+def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
+    """The option a token names and its attached value, or None for a value:
+    "--x=v" names the one option "--x" starts and "-hv" is -h with v; "-",
+    a negative number and an unknown option with a space in it are values."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or token == "-" or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    name, eq, value = token.partition("=") if token[1] == "-" else (token[:2], token[2:], token[2:])
+    found = [n for n in names if n.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if " " in token else (token, None)
 
-    A plain argv is decided without argparse: its command has string
-    positionals (eta, obstruct, catalog), and every later token is exactly
-    --json or --quiet, or one of exactly as many strings as the command has
-    positionals, none starting with '-'.  argparse reads such an argv the
-    same way on every supported Python, so the namespace is built directly.
-    Any other command-first argv goes to that command's parser, skipping
-    the top-level pass that only routes it, and the rest to the top-level
-    parser, so argparse alone writes every help text and usage error.
-    """
-    parser, commands = _build_parser()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    command = argv[0]
-    handler, _, positionals = _COMMANDS[command]
-    if positionals is not None:
-        strings = [a for a in argv[1:] if a != "--json" and a != "--quiet"]
-        if len(strings) == len(positionals) and not any(a.startswith("-") for a in strings):
-            return argparse.Namespace(
-                json="--json" in argv,
-                quiet="--quiet" in argv,
-                command=command,
-                **dict(zip(positionals, strings)),
-                handler=handler,
-            )
-    start = argparse.Namespace(json=False, quiet=False, command=command)
-    return commands[command].parse_args(argv[1:], start)
+
+def _parse(argv) -> SimpleNamespace:
+    """Read argv into the namespace the handlers read.  -h/--help, --json
+    and --quiet count before and after the command, its options only after
+    it, and every token after "--" is a value.  What stops the reading (an
+    unknown command, an ambiguous option, an option without its value)
+    fails at once, the first -h/--help writes help, and every other usage
+    error waits for the end."""
+    args = SimpleNamespace(json=False, quiet=False, command=None)
+    names, arguments, given, values, extras = list(_FLAGS), (), {}, [], []
+    cut = argv.index("--") if "--" in argv else len(argv)
+    tokens = iter(argv[:cut])
+    for token in tokens:
+        found = _option(token, names)
+        if found is None and args.command is None:
+            if token not in _COMMANDS:
+                raise UsageError(f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            args.command, (args.handler, _, arguments) = token, _COMMANDS[token]
+            names += [a.name for a in arguments if a.name[0] == "-"]
+        elif found is None:
+            values.append(token)
+        elif found in (("-h", None), ("--help", None)):
+            raise _Help(_help(args.command))
+        elif found in (("--json", None), ("--quiet", None)):
+            setattr(args, found[0][2:], True)
+        elif found[0] in names[len(_FLAGS):]:
+            given[found[0]] = found[1] if found[1] is not None else next(tokens, "--")
+            if found[1] is None and (given[found[0]] == "--" or _option(given[found[0]], names)):
+                raise UsageError(f"{found[0]}: expected one value")
+        else:
+            extras.append(token)
+    if args.command is None:
+        raise UsageError(f"missing command (choose from {', '.join(_COMMANDS)})")
+    values += argv[cut + 1:]
+    wanted = [a.name for a in arguments if a.name[0] != "-"]
+    given.update(zip(wanted, values))
+    extras += values[len(wanted):]
+    group = [a.name for a in arguments if a.one_of]
+    if len(values) < len(wanted):
+        raise UsageError(f"{wanted[len(values)]}: expected one value")
+    if group and sum(name in given for name in group) != 1:
+        raise UsageError(f"exactly one of {', '.join(group)} is required")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for a in arguments:
+        text = given.get(a.name)
+        try:
+            setattr(args, a.name.lstrip("-"), a.default if text is None else a.convert(text))
+        except ValueError:
+            raise UsageError(f"{a.name}: invalid {a.convert.__name__} value: {text!r}") from None
+    return args
 
 
 # Exit code of each error class; every FlatEtaError the CLI reports is one
@@ -334,7 +329,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         result = args.handler(args)
         if args.json:
             header = {"schema": SCHEMA_VERSION, "command": args.command}
-            text = _JSON.encode(header | result.payload) + "\n"
+            text = _JSON.encode(header | result.payload()) + "\n"
         else:
             text = "\n".join((result.quiet if args.quiet else result.human)()) + "\n"
         error = result.error

@@ -1,7 +1,10 @@
 """The package namespace: what ``from flateta import *`` exports, and
 how its public calls answer hostile arguments."""
 
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,19 @@ def test_all_names_resolve():
     namespace = {}
     exec("from flateta import *", namespace)
     assert set(flateta.__all__) <= set(namespace)
+
+
+def test_import_leaves_argparse_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, flateta; print('argparse' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 # Hostile library calls, each of which once escaped as a bare TypeError,
