@@ -21,15 +21,18 @@ M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
 row: at most deg = deg Phi_(M/2) integer coefficients in y = zeta_M^2,
 reduced mod Phi_(M/2) (see :mod:`flateta.cyclotomic`).  ``_cot_table``
 works out ``_reduction(M/2)`` once, builds the half rows of
-cot(k*pi/alpha) for k <= alpha/2 through it, brings them to one shared
-denominator (a row already over it is left as it is) and packs each,
+cot(k*pi/alpha) for k <= alpha/2 through it, each over its own
+denominator m, and packs them in one pass of bulk byte copies, each
 padded to deg slots, into one int ``sum v[i] * 2^(bits*i)`` (Kronecker
-substitution) under one shared bias, so a polynomial product is one
-big-int multiplication.  The slot width is exact, not heuristic: with D
-the largest |coefficient| of the table, a coefficient of the sum in
-``_cot_sum`` adds at most alpha/2 pairs of rows times deg products, so
-its absolute value is at most (alpha//2 + 1) * deg * D^2; with that
-bound below 2^(bits-1), each slot holds its balanced digit in
+substitution), so a polynomial product is one big-int multiplication.
+Packing is linear, so it then scales each packed row to the least common
+denominator L/g, L = lcm(m), g = gcd(L, (L/m) * gcd(row) over the rows):
+times L/m, then divided by g, exactly, as g divides every coefficient.
+The slot width is exact, not heuristic: with D the largest |coefficient|
+of the table, a coefficient of the sum in ``_cot_sum`` adds at most
+alpha/2 pairs of rows times deg products, so its absolute value is at
+most (alpha//2 + 1) * deg * D^2; with that bound and every unscaled
+coefficient below 2^(bits-1), each slot holds its balanced digit in
 (-2^(bits-1), 2^(bits-1)) without carrying into the next, so the digits
 read back are exactly the coefficients, and anything left above the top
 slot is an internal error.  The sum is unpacked once, multiplied by y
@@ -41,13 +44,16 @@ Q(zeta_M).  The route is refused above ``COT_ALPHA_MAX``.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
 
 from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi, _reduction
 from .errors import DomainError
+
+_SIGN = bytes(0 if b < 128 else 255 for b in range(256))  # translate: each byte's sign byte
+_FLIP = bytes(b ^ 128 for b in range(256))  # translate: each byte with its top bit flipped
 
 
 def sawtooth(x) -> Fraction:
@@ -146,22 +152,27 @@ def _bias(slots: int, bits: int) -> int:
 
 def _pack_rows(vectors, slots: int, bits: int) -> list[int]:
     """Each vector, zero-padded to ``slots`` entries, as the integer
-    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1): each entry is
-    written biased into its own bytes, then the one bias of ``slots``
-    slots is taken off again (negative entries borrow from the slot above)."""
-    width, half = bits // 8, 1 << (bits - 1)
-    zero, bias = half.to_bytes(width, "little"), _bias(slots, bits)
-    return [
-        int.from_bytes(b"".join(map(int.to_bytes, map(half.__add__, vec),
-                                    repeat(width), repeat("little")))
-                       + zero * (slots - len(vec)), "little") - bias
-        for vec in vectors
-    ]
-
-
-def _pack(vec, bits: int) -> int:
-    """One vector packed on its own, as ``_pack_rows`` packs a row."""
-    return _pack_rows([vec], len(vec), bits)[0]
+    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1), in one pass: all
+    rows go into one zeroed buffer as 8-byte two's complement, each slot
+    keeps their low bytes (sign bytes past 8) with its top bit flipped,
+    which adds 2^(bits-1), and each row is read back as one int less the
+    bias.  Packing is linear, so an entry outside 64 bits is split as
+    h*2^62 + l and the two parts are packed on their own."""
+    raw = bytearray(8 * slots * len(vectors))
+    try:
+        for r, vec in enumerate(vectors):
+            struct.pack_into(f"<{len(vec)}q", raw, 8 * slots * r, *vec)
+    except struct.error:
+        high = _pack_rows([[v >> 62 for v in vec] for vec in vectors], slots, bits)
+        low = _pack_rows([[v & (2**62 - 1) for v in vec] for vec in vectors], slots, bits)
+        return [(h << 62) + l for h, l in zip(high, low)]
+    width = bits // 8
+    out = bytearray(len(raw) // 8 * width)
+    for j in range(width):
+        out[j::width] = raw[j::8] if j < 8 else raw[7::8].translate(_SIGN)
+    out[width - 1::width] = out[width - 1::width].translate(_FLIP)
+    size, bias = slots * width, _bias(slots, bits)
+    return [int.from_bytes(out[i:i + size], "little") - bias for i in range(0, len(out), size)]
 
 
 def _unpack(packed: int, slots: int, bits: int) -> list[int]:
@@ -207,8 +218,8 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple, tuple[int, ...]]:
     """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
-    as packed half rows over one shared denominator (see the module
-    docstring for both and for the slot width).
+    as packed half rows over their least common denominator, packed first
+    and scaled after (see the module docstring for both and the slot width).
 
     Returns (parity, denominator, slot bits, deg Phi_(M/2),
     _reduction(M/2), rows) with rows 1-indexed.
@@ -219,8 +230,11 @@ def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple, tuple[int, ...]]:
     cots = [_cot_half(k, alpha, reduction) for k in range(1, alpha // 2 + 1)]
     parity = cots[0][0]  # M/4 mod 2, the same for every row
     den = lcm(*(m for _, _, m in cots))
-    vectors = [half if m == den else [c * (den // m) for c in half] for _, half, m in cots]
-    top = max(max(map(abs, vec), default=0) for vec in vectors)
-    bits = _slot_bits((alpha // 2 + 1) * degree * top * top)
-    rows = _pack_rows(vectors, degree, bits)
-    return parity, den, bits, degree, reduction, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    scales = [den // m for _, _, m in cots]
+    g = gcd(den, *(scale * gcd(*half) for scale, (_, half, _) in zip(scales, cots)))
+    peaks = [max(max(half, default=0), -min(half, default=0)) for _, half, _ in cots]
+    top = max(peak * scale // g for peak, scale in zip(peaks, scales))
+    bits = _slot_bits(max((alpha // 2 + 1) * degree * top * top, *peaks))
+    packed = _pack_rows([half for _, half, _ in cots], degree, bits)
+    rows = [row * scale // g for row, scale in zip(packed, scales)]  # exact: see module docstring
+    return parity, den // g, bits, degree, reduction, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

@@ -329,10 +329,17 @@ def _argv(draw):
         options = (("--chi", _INTEGER_TEXT), ("--volume", _REAL_TEXT), ("--tol", _REAL_TEXT))
         for flag, values in options:
             if draw(st.booleans()):
-                argv += [flag, draw(values)]
+                # the name or a prefix of it, with its value next or attached
+                name = flag[: draw(st.integers(3, len(flag)))]
+                value = draw(values)
+                argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    if draw(st.integers(0, 4)) == 0:  # "--": every token after it is a value
+        argv.insert(draw(st.integers(1, len(argv))), "--")
     if draw(st.integers(0, 9)) == 0:  # a stray argument
         argv.append(draw(st.one_of(_INTEGER_TEXT, _DESCRIPTOR)))
-    flags = st.sampled_from(["--json", "--quiet"] * 3 + ["--help", "-h"])
+    flags = st.sampled_from(
+        ["--json", "--quiet"] * 3 + ["--help", "-h", "--jso", "--qui", "-hx", "-1", "-2.5"]
+    )
     for flag in draw(st.lists(flags, max_size=3)):
         argv.insert(draw(st.integers(0, len(argv))), flag)
     return argv
@@ -417,12 +424,21 @@ EDGE_ARGVS = [
 ]
 
 
+def _takes_value(token):
+    """Whether token names --chi, --volume or --tol, or a prefix of one,
+    without an attached value: the token after it is that option's value."""
+    return len(token) > 2 and "=" not in token and any(
+        option.startswith(token) for option in ("--chi", "--volume", "--tol")
+    )
+
+
 def _respelled(argv):
-    """argv with --json and --quiet shortened to prefixes and, unless one
-    stands where an option's value goes, moved before the command: no byte
-    of what it writes may change."""
-    flags = {i for i, token in enumerate(argv) if token in ("--json", "--quiet")}
-    moved = [i for i in sorted(flags) if not (i and argv[i - 1] in ("--chi", "--volume", "--tol"))]
+    """argv with --json and --quiet before any "--" shortened to prefixes
+    and, unless one stands where an option's value goes, moved before the
+    command: no byte of what it writes may change."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    flags = {i for i, token in enumerate(argv[:cut]) if token in ("--json", "--quiet")}
+    moved = [i for i in sorted(flags) if not (i and _takes_value(argv[i - 1]))]
     short = [token[:4] if i in flags else token for i, token in enumerate(argv)]
     return [short[i] for i in moved] + [token for i, token in enumerate(short) if i not in moved]
 

@@ -19,7 +19,7 @@ from flateta import (
     cyclotomic_polynomial,
 )
 from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi, _reduction
-from flateta.dedekind import COT_ALPHA_MAX, _pack, _slot_bits, _unpack
+from flateta.dedekind import COT_ALPHA_MAX, _pack_rows, _slot_bits, _unpack
 
 from helpers import embed_complex, embed_mp
 
@@ -125,7 +125,7 @@ class TestPackedConvolution:
     @staticmethod
     def _packed_sum(length, top, pairs):
         bits = _slot_bits(len(pairs) * length * top * top)
-        total = sum(_pack(a, bits) * _pack(b, bits) for a, b in pairs)
+        total = sum(x * y for x, y in (_pack_rows([a, b], length, bits) for a, b in pairs))
         return _unpack(total, 2 * length - 1, bits)
 
     @given(case=_vector_pairs())
@@ -148,6 +148,26 @@ class TestPackedConvolution:
         result = self._packed_sum(length, top, pairs)
         assert result[length - 1] == sign * count * length * top * top
         assert result == _summed_products(pairs, length)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 17])
+    def test_packer_at_the_boundaries(self, width):
+        # entries at the edges of 8-byte two's complement and of the slot,
+        # where they fit, in rows that are full, shorter and all zero; one
+        # entry outside 64 bits splits the whole table, so pack both kinds
+        bits = 8 * width
+        half = 1 << (bits - 1)
+        edge = min(half, 2**63) - 1
+        inside = [2**63 - 1, -(2**63 - 1), -(2**63), edge, -edge, 1, -1, 0]
+        outside = [2**63, 2**64 + 1, -(2**64 + 1), half - 1, -(half - 1)]
+        for values in (inside, inside + outside):
+            full = [v for v in values if abs(v) < half]
+            slots = len(full) + 2
+            rows = [full, full[:1], full[::-1], [], [0] * slots, [0] * 3]
+            packed = _pack_rows(rows, slots, bits)
+            assert packed == [sum(v * 2 ** (bits * i) for i, v in enumerate(row)) for row in rows]
+            assert [_unpack(p, slots, bits) for p in packed] == [
+                row + [0] * (slots - len(row)) for row in rows
+            ]
 
     @pytest.mark.parametrize("excess", [1 << 24, -(1 << 24)])
     def test_overflow_past_the_top_slot_is_an_internal_error(self, excess):

@@ -167,6 +167,27 @@ def test_packed_table_rows_are_scaled_cotangents(alpha):
         assert row == expected + [0] * (2 * degree - len(expected)), k
 
 
+@pytest.mark.parametrize("alpha, den, bits", [(200, 5, 24), (180, 15, 32)])
+def test_table_is_over_its_least_common_denominator(alpha, den, bits):
+    # lcm(m) is 200 and 180, which would need 32- and 40-bit slots
+    assert _cot_table(alpha)[1:3] == (den, bits)
+
+
+@pytest.mark.parametrize("alpha", range(2, 61))
+def test_table_denominator_is_in_lowest_terms(alpha):
+    _, den, bits, degree, _, rows = _cot_table(alpha)
+    entries = [c for row in rows[1:] for c in _unpack(row, degree, bits)]
+    assert gcd(den, *entries) == 1
+
+
+@pytest.mark.parametrize("alpha", [100, 144, 180, 200])
+def test_every_residue_matches_sawtooth(alpha):
+    # composite alphas whose tables lose a factor to lowest terms
+    for beta in range(alpha):
+        if gcd(beta, alpha) == 1:
+            assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha), beta
+
+
 @pytest.mark.parametrize(
     "module, names",
     [
