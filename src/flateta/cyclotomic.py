@@ -29,8 +29,8 @@ gives it two things:
   (none when N has at most one odd prime), each touching only Phi's
   nonzero terms: ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has a handful
   of them (5 at N = 400, degree 160).  ``_reduction`` works out n, s,
-  the cut n - L and those terms once per field.  Phi_N itself is built
-  from two-term factors x^d - 1, multiplied out and divided exactly.
+  the cut n - L and those terms, cached per field.  Phi_N itself is
+  built from two-term factors x^d - 1, multiplied out and divided exactly.
 * **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
   M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
   cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
@@ -122,9 +122,10 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _reduction(order: int) -> tuple:
-    """What ``_reduce_int_mod_phi`` needs to know of Phi_order, worked out
-    once per field: (n, s, cut, deg Phi_order, Phi's nonzero lower terms).
+    """What ``_reduce_int_mod_phi`` needs to know of Phi_order, cached per
+    field: (n, s, cut, deg Phi_order, Phi's nonzero lower terms).
 
     Phi_N divides y^n - s, with n = N/2, s = -1 for even N and n = N,
     s = 1 for odd N.  With p the least odd prime of N and L = n/p, it also
@@ -140,18 +141,18 @@ def _reduction(order: int) -> tuple:
             p = q
             break
     cut = n - n // p if p > 1 else n
-    terms = [(j, c) for j, c in enumerate(phi[:degree]) if c]
+    terms = tuple((j, c) for j, c in enumerate(phi[:degree]) if c)
     return n, s, cut, degree, terms
 
 
-def _reduce_int_mod_phi(vec: list[int], reduction: tuple) -> list[int]:
+def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
     """Trimmed remainder of an integer polynomial of any degree mod the
-    monic Phi_N described by ``reduction = _reduction(N)``.
+    monic Phi_order.
 
-    Each stage divides by a multiple of Phi_N, so the remainder is that of
-    plain long division; only the work shrinks.
+    Each stage divides by a multiple of Phi_order, so the remainder is
+    that of plain long division; only the work shrinks.
     """
-    n, s, cut, degree, terms = reduction
+    n, s, cut, degree, terms = _reduction(order)
     rem = vec[:n]
     sign = 1
     for start in range(n, len(vec), n):  # y^n = s folds chunk c in with s^c
@@ -229,7 +230,7 @@ class CyclotomicElement:
         step = order // self.order
         spread = [0] * ((len(self.numerator) - 1) * step + 1)
         spread[::step] = self.numerator
-        return _element(order, _reduce_int_mod_phi(spread, _reduction(order)), self.denominator)
+        return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicElement):
@@ -288,13 +289,13 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise PoleError(f"cot({k}*pi/{n}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
-    parity, half, m = _cot_half(k % n, n, _reduction(order // 2))
+    parity, half, m = _cot_half(k % n, n)
     full = [0] * (2 * len(half))
     full[parity::2] = half
     return _element(order, full, m)
 
 
-def _cot_half(r: int, n: int, reduction: tuple) -> tuple[int, list[int], int]:
+def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
     """cot(r*pi/n) for r not a multiple of n, M = lcm(4, 2n), as the
     triple (parity, half, m) with
 
@@ -302,9 +303,7 @@ def _cot_half(r: int, n: int, reduction: tuple) -> tuple[int, list[int], int]:
 
     parity = M/4 mod 2 and half the trimmed remainder mod Phi_(M/2) of a
     polynomial in y = zeta_M^2 = zeta_(M/2), empty for cot(pi/2) = 0;
-    ``reduction`` is ``_reduction(M/2)``.
-    Since Phi_M(x) = Phi_(M/2)(x^2) (4 | M), the remainder mod Phi_M is
-    half spread onto the exponents of that parity.
+    spread onto the exponents of that parity, it is the remainder mod Phi_M.
     """
     # With w = e^(2i*r*pi/n) = zeta_M^t, a primitive m-th root of unity,
     #   cot(r*pi/n) = i*(w + 1)/(w - 1)  and  1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
@@ -325,4 +324,4 @@ def _cot_half(r: int, n: int, reduction: tuple) -> tuple[int, list[int], int]:
             vec[e] += 2 * j - 1
         else:
             vec[e - quarter] -= 2 * j - 1
-    return quarter % 2, _reduce_int_mod_phi(vec, reduction), m
+    return quarter % 2, _reduce_int_mod_phi(vec, period), m

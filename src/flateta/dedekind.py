@@ -18,28 +18,27 @@ above ``SAWTOOTH_ALPHA_MAX``.
 
 The cotangent route runs on integers.  Each cotangent in Q(zeta_M),
 M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
-row: at most deg = deg Phi_(M/2) integer coefficients in y = zeta_M^2,
-reduced mod Phi_(M/2) (see :mod:`flateta.cyclotomic`).  ``_cot_table``
-works out ``_reduction(M/2)`` once, builds the half rows of
-cot(k*pi/alpha) for k <= alpha/2 through it, each over its own
-denominator m, and packs them in one pass of bulk byte copies, each
-padded to deg slots, into one int ``sum v[i] * 2^(bits*i)`` (Kronecker
-substitution), so a polynomial product is one big-int multiplication.
-Packing is linear, so it then scales each packed row to the least common
-denominator L/g, L = lcm(m), g = gcd(L, (L/m) * gcd(row) over the rows):
-times L/m, then divided by g, exactly, as g divides every coefficient.
-The slot width is exact, not heuristic: with D the largest |coefficient|
-of the table, a coefficient of the sum in ``_cot_sum`` adds at most
-alpha/2 pairs of rows times deg products, so its absolute value is at
-most (alpha//2 + 1) * deg * D^2; with that bound and every unscaled
-coefficient below 2^(bits-1), each slot holds its balanced digit in
-(-2^(bits-1), 2^(bits-1)) without carrying into the next, so the digits
-read back are exactly the coefficients, and anything left above the top
-slot is an internal error.  The sum is unpacked once, multiplied by y
-when parity is 1 (the two factors zeta_M^parity make y^parity), reduced
-once mod Phi_(M/2) through the table's ``_reduction`` and certified
-rational before it is returned; its constant term is that of the sum in
-Q(zeta_M).  The route is refused above ``COT_ALPHA_MAX``.
+row: integers in y = zeta_M^2, reduced mod Phi_(M/2) by
+:mod:`flateta.cyclotomic`.  ``_cot_table`` builds the half rows of
+cot(k*pi/alpha) for k <= alpha/2, each over its own denominator m, and
+packs them in one pass, each padded to the longest row's ``slots``, into
+one int ``sum v[i] * 2^(bits*i)`` (Kronecker substitution), so a
+polynomial product is one big-int multiplication.  Packing is linear, so
+it then scales each row to the least common denominator L/g, L = lcm(m),
+g = gcd(L, (L/m) * gcd(row) over the rows): times L/m, then divided by
+g, exactly, as g divides every coefficient.  The slot width is exact:
+with D the largest |coefficient|, a coefficient of the sum in
+``_cot_sum`` adds at most alpha/2 pairs of rows times ``slots``
+products, so it is at most (alpha//2 + 1) * slots * D^2 in absolute
+value; with that bound and every unscaled coefficient below
+2^(bits-1), each slot holds its balanced digit in (-2^(bits-1),
+2^(bits-1)) without carrying, and anything left above the top slot is
+an internal error.  So is a width past 64 bits, the packer's 8-byte
+entries: no alpha up to ``COT_ALPHA_MAX`` needs more (at most 56 bits,
+first at alpha = 595).  The sum is unpacked once, multiplied by y when
+parity is 1 (zeta_M^parity squared), reduced mod Phi_(M/2) and
+certified rational before it is returned; its constant term is that of
+the sum in Q(zeta_M).  The route is refused above ``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi, _reduction
+from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi
 from .errors import DomainError
 
-_SIGN = bytes(0 if b < 128 else 255 for b in range(256))  # translate: each byte's sign byte
 _FLIP = bytes(b ^ 128 for b in range(256))  # translate: each byte with its top bit flipped
 
 
@@ -152,24 +150,17 @@ def _bias(slots: int, bits: int) -> int:
 
 def _pack_rows(vectors, slots: int, bits: int) -> list[int]:
     """Each vector, zero-padded to ``slots`` entries, as the integer
-    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1), in one pass: all
-    rows go into one zeroed buffer as 8-byte two's complement, each slot
-    keeps their low bytes (sign bytes past 8) with its top bit flipped,
-    which adds 2^(bits-1), and each row is read back as one int less the
-    bias.  Packing is linear, so an entry outside 64 bits is split as
-    h*2^62 + l and the two parts are packed on their own."""
+    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1) and bits <= 64, in
+    one pass: all rows go into one zeroed buffer as 8-byte two's
+    complement, each slot keeps their low bytes with its top bit flipped
+    (+2^(bits-1)), and each row is read back as one int less the bias."""
     raw = bytearray(8 * slots * len(vectors))
-    try:
-        for r, vec in enumerate(vectors):
-            struct.pack_into(f"<{len(vec)}q", raw, 8 * slots * r, *vec)
-    except struct.error:
-        high = _pack_rows([[v >> 62 for v in vec] for vec in vectors], slots, bits)
-        low = _pack_rows([[v & (2**62 - 1) for v in vec] for vec in vectors], slots, bits)
-        return [(h << 62) + l for h, l in zip(high, low)]
+    for r, vec in enumerate(vectors):
+        struct.pack_into(f"<{len(vec)}q", raw, 8 * slots * r, *vec)
     width = bits // 8
     out = bytearray(len(raw) // 8 * width)
     for j in range(width):
-        out[j::width] = raw[j::8] if j < 8 else raw[7::8].translate(_SIGN)
+        out[j::width] = raw[j::8]
     out[width - 1::width] = out[width - 1::width].translate(_FLIP)
     size, bias = slots * width, _bias(slots, bits)
     return [int.from_bytes(out[i:i + size], "little") - bias for i in range(0, len(out), size)]
@@ -194,16 +185,16 @@ def _unpack(packed: int, slots: int, bits: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    parity, den, bits, degree, reduction, rows = _cot_table(alpha)
+    parity, den, bits, slots, rows = _cot_table(alpha)
     # Pair k with alpha-k: equal terms, so sum halves and doubles at the
     # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
     packed = 0
     for k in range(1, (alpha + 1) // 2):
         packed += rows[k * beta % alpha] * rows[k]
-    product = _unpack(packed, 2 * degree - 1, bits)
+    product = _unpack(packed, 2 * slots - 1, bits)
     if parity:
         product.insert(0, 0)
-    rem = _reduce_int_mod_phi(product, reduction)
+    rem = _reduce_int_mod_phi(product, lcm(2, alpha))  # M/2
     # The sum is rational exactly when nothing past the constant term is
     # left (the power basis is a Q-basis); certify that before returning.
     constant, *rest = rem or [0]
@@ -216,25 +207,27 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple, tuple[int, ...]]:
+def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple[int, ...]]:
     """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
     as packed half rows over their least common denominator, packed first
     and scaled after (see the module docstring for both and the slot width).
 
-    Returns (parity, denominator, slot bits, deg Phi_(M/2),
-    _reduction(M/2), rows) with rows 1-indexed.
+    Returns (parity, denominator, slot bits, slots, rows) with rows
+    1-indexed and slots the length of the longest half row, at least 1
+    (alpha = 2's one row, cot(pi/2) = 0, is empty).
     """
-    reduction = _reduction(lcm(4, 2 * alpha) // 2)
-    degree = reduction[3]
     # cot(pi - x) = -cot(x): compute k <= alpha/2, negate the packed rest.
-    cots = [_cot_half(k, alpha, reduction) for k in range(1, alpha // 2 + 1)]
+    cots = [_cot_half(k, alpha) for k in range(1, alpha // 2 + 1)]
     parity = cots[0][0]  # M/4 mod 2, the same for every row
+    slots = max(1, *(len(half) for _, half, _ in cots))
     den = lcm(*(m for _, _, m in cots))
     scales = [den // m for _, _, m in cots]
     g = gcd(den, *(scale * gcd(*half) for scale, (_, half, _) in zip(scales, cots)))
     peaks = [max(max(half, default=0), -min(half, default=0)) for _, half, _ in cots]
     top = max(peak * scale // g for peak, scale in zip(peaks, scales))
-    bits = _slot_bits(max((alpha // 2 + 1) * degree * top * top, *peaks))
-    packed = _pack_rows([half for _, half, _ in cots], degree, bits)
+    bits = _slot_bits(max((alpha // 2 + 1) * slots * top * top, *peaks))
+    if bits > 64:
+        raise RuntimeError(f"internal error: the table of alpha = {alpha} needs {bits}-bit slots")
+    packed = _pack_rows([half for _, half, _ in cots], slots, bits)
     rows = [row * scale // g for row, scale in zip(packed, scales)]  # exact: see module docstring
-    return parity, den // g, bits, degree, reduction, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    return parity, den // g, bits, slots, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

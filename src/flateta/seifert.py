@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -210,7 +211,13 @@ def render_descriptor(s: SeifertData) -> str:
     """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s."""
     validate(s)
     parts = [s.base.value, ";"]
-    if s.b:
-        parts.append(f"b={s.b};")
-    parts.extend(f"({f.alpha},{f.beta})" for f in s.fibers)
+    try:
+        if s.b:
+            parts.append(f"b={s.b};")
+        parts.extend(f"({f.alpha},{f.beta})" for f in s.fibers)
+    except ValueError:  # an int past sys.get_int_max_str_digits() decimal digits
+        named = [("b", s.b)] + [(f"fibers[{i}]: {k}", v) for i, f in enumerate(s.fibers)
+                                for k, v in (("alpha", f.alpha), ("beta", f.beta))]
+        name = next(k for k, v in named if abs(v) >= 10 ** sys.get_int_max_str_digits())
+        raise ValidationError(f"{name} has too many digits to render") from None
     return "".join(parts)

@@ -157,14 +157,14 @@ class TestCotangentSum:
 def test_packed_table_rows_are_scaled_cotangents(alpha):
     # every row, the negated back half included, read back and spread by
     # parity onto the power basis of Q(zeta_M), is den * cot(k*pi/alpha)
-    parity, den, bits, degree, _, rows = _cot_table(alpha)
+    parity, den, bits, slots, rows = _cot_table(alpha)
     for k in range(1, alpha):
-        row = [0] * (2 * degree)
-        row[parity::2] = _unpack(rows[k], degree, bits)
+        row = [0] * (2 * slots)
+        row[parity::2] = _unpack(rows[k], slots, bits)
         value = cot_exact(k, alpha)
         assert den % value.denominator == 0
         expected = [c * (den // value.denominator) for c in value.numerator]
-        assert row == expected + [0] * (2 * degree - len(expected)), k
+        assert row == expected + [0] * (2 * slots - len(expected)), k
 
 
 @pytest.mark.parametrize("alpha, den, bits", [(200, 5, 24), (180, 15, 32)])
@@ -175,8 +175,8 @@ def test_table_is_over_its_least_common_denominator(alpha, den, bits):
 
 @pytest.mark.parametrize("alpha", range(2, 61))
 def test_table_denominator_is_in_lowest_terms(alpha):
-    _, den, bits, degree, _, rows = _cot_table(alpha)
-    entries = [c for row in rows[1:] for c in _unpack(row, degree, bits)]
+    _, den, bits, slots, rows = _cot_table(alpha)
+    entries = [c for row in rows[1:] for c in _unpack(row, slots, bits)]
     assert gcd(den, *entries) == 1
 
 
@@ -188,10 +188,42 @@ def test_every_residue_matches_sawtooth(alpha):
             assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha), beta
 
 
+def test_table_past_64_bit_slots_is_an_internal_error(monkeypatch):
+    # the packer writes 8-byte entries; a wider slot must never be packed
+    monkeypatch.setattr(dedekind, "_slot_bits", lambda bound: 72)
+    dedekind._cot_table.cache_clear()
+    with pytest.raises(RuntimeError, match="internal error.*72-bit slots"):
+        _cot_table(5)
+
+
+def test_widest_table_is_56_bits():
+    # alpha = 595 is the first of the 20 alphas <= COT_ALPHA_MAX whose
+    # table needs 56-bit slots, the widest any needs; its longest half row
+    # fills deg Phi_1190 = 384 slots.  Each sum there takes about 0.1 s,
+    # so a sample of its 384 residues is checked.
+    _, _, bits, slots, _ = _cot_table(595)
+    assert (bits, slots) == (56, 384)
+    for beta in (1, 2, 3, 4, 297, 298, 593, 594):
+        assert dedekind_cot(beta, 595) == dedekind_sawtooth(beta, 595), beta
+
+
+def test_field_set_up_is_shared_with_cot_exact():
+    # a table builds Q(zeta_(M/2))'s reduction once; cot_exact in the same
+    # field reuses it instead of working it out again
+    dedekind._cot_sum.cache_clear()
+    dedekind._cot_table.cache_clear()
+    cyclotomic._reduction.cache_clear()
+    dedekind_cot(1, 60)
+    misses = cyclotomic._reduction.cache_info().misses
+    for k in range(1, 60):
+        cot_exact(k, 60)
+    assert cyclotomic._reduction.cache_info().misses == misses
+
+
 @pytest.mark.parametrize(
     "module, names",
     [
-        (cyclotomic, {"cyclotomic_polynomial"}),
+        (cyclotomic, {"cyclotomic_polynomial", "_reduction"}),
         (dedekind, {"_cot_sum", "_cot_table"}),
     ],
     ids=["cyclotomic", "dedekind"],

@@ -4,7 +4,7 @@ import io
 import threading
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -20,6 +20,7 @@ from flateta import (
     ObstructionError,
     SeifertData,
     ValidationError,
+    dedekind_cot,
     dedekind_sawtooth,
     eta_flat,
     euler_number,
@@ -141,6 +142,72 @@ def test_eta_is_four_times_the_sawtooth_sums(data):
     )
     assert type(result.value) is Fraction
     assert result.integral == (result.value.denominator == 1)
+
+
+def _residue_classes(alphas):
+    """Every flat residue class over the base orbifold with multiplicities
+    alphas: eta depends on each beta only mod its alpha and not on the
+    order of the fibers, and some b makes e = 0 exactly when the
+    beta/alpha sum to an integer.  Each class is its sorted (alpha, beta
+    mod alpha) pairs; no fibers is T2's one class."""
+    units = [[r for r in range(1, a) if gcd(r, a) == 1] for a in alphas]
+    return {
+        tuple(sorted(zip(alphas, residues)))
+        for residues in product(*units)
+        if sum(map(Fraction, residues, alphas), Fraction(0)).denominator == 1
+    }
+
+
+# Each multiplicity list (T2's empty one first) with its catalog manifold.
+_FLAT_TYPES = {(): "G1", (2, 2, 2, 2): "G2", (3, 3, 3): "G3", (2, 4, 4): "G4", (2, 3, 6): "G5"}
+_CLASSES = {alphas: _residue_classes(alphas) for alphas in _FLAT_TYPES}
+
+
+def _class_eta(pairs, route=dedekind_sawtooth):
+    return 4 * sum((route(r, a) for a, r in pairs), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "alphas, values",
+    [
+        ((), {0}),
+        ((2, 2, 2, 2), {0}),
+        ((3, 3, 3), {Fraction(2, 3), Fraction(-2, 3)}),
+        ((2, 4, 4), {1, -1}),
+        ((2, 3, 6), {Fraction(4, 3), Fraction(-4, 3)}),
+    ],
+    ids=_FLAT_TYPES.values(),
+)
+def test_every_flat_residue_class_is_plus_or_minus_the_catalog_eta(alphas, values):
+    # the paper's numbers for all flat input, not only the catalog's five
+    catalog = {entry.name: entry.eta for entry in flat_catalog()}[_FLAT_TYPES[alphas]]
+    assert values == {catalog, -catalog}
+    found = set()
+    for pairs in _CLASSES[alphas]:
+        value = _class_eta(pairs)
+        assert _class_eta(pairs, dedekind_cot) == value, pairs
+        b = -sum((Fraction(r, a) for a, r in pairs), Fraction(0))
+        data = SeifertData(BaseSurface.S2 if pairs else BaseSurface.T2, int(b), pairs)
+        report = obstruction_report(data)
+        assert report.eta.value == value, pairs
+        if value.denominator == 1:
+            assert report.predicted_signature == predicted_signature(value) == -value
+        else:
+            assert report.predicted_signature is None
+            with pytest.raises(ObstructionError):
+                predicted_signature(value)
+        found.add(value)
+    assert found == values
+    assert len(_CLASSES[alphas]) == len(values)  # one class per value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_data())
+def test_flat_data_takes_the_eta_of_its_residue_class(data):
+    alphas = tuple(sorted(f.alpha for f in data.fibers))
+    pairs = tuple(sorted((f.alpha, f.beta % f.alpha) for f in data.fibers))
+    assert pairs in _CLASSES[alphas]
+    assert eta_flat(data).value == _class_eta(pairs)
 
 
 # Refused non-flat data and the whole NotFlatError text, as the per-term

@@ -1,6 +1,7 @@
 """Seifert data validation, flatness, and the flat-manifold catalog."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -19,6 +20,7 @@ from flateta import (
     euler_number,
     flat_catalog,
     orbifold_euler_characteristic,
+    render_descriptor,
     validate,
 )
 
@@ -92,6 +94,27 @@ def test_invalid_field_is_refused_at_construction_and_replace(case):
         SeifertData(**fields)
     with pytest.raises(ValidationError, match=message):
         dataclasses.replace(G5_DATA, **{field: value})
+
+
+TOO_LONG = 10**4300 + 1  # one digit past CPython's default int-to-str limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize(
+    "b, fibers, field",
+    [
+        (-TOO_LONG, (), "b"),
+        (1, ((2, 1), (3, TOO_LONG)), r"fibers\[1\]: beta"),
+        (0, ((2 * TOO_LONG, 1),), r"fibers\[0\]: alpha"),
+    ],
+    ids=["b", "beta", "alpha"],
+)
+def test_render_refuses_an_integer_past_the_digit_limit(b, fibers, field):
+    data = SeifertData(BaseSurface.S2, b, fibers)
+    with pytest.raises(ValidationError, match=f"^{field} has too many digits to render$"):
+        render_descriptor(data)
+    # one digit fewer renders in full
+    assert render_descriptor(SeifertData(BaseSurface.S2, 10**4299)) == f"S2;b={10**4299};"
 
 
 @pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic])

@@ -1,8 +1,15 @@
-"""Differential check of the flateta CLI: this tree against a git revision.
+"""Differential check of flateta: this tree against a git revision.
 
-Runs one seeded stream of argvs through ``flateta.cli.run`` twice, once on
-the ``src/`` of this working tree and once on ``src/`` of REV, and reports
-every argv whose (exit code, stdout, stderr) differs, grouped by class.
+Runs two seeded streams twice each, once on the ``src/`` of this working
+tree and once on ``src/`` of REV, and reports every input whose outcome
+differs, grouped by class:
+
+* argvs through ``flateta.cli.run``: the outcome is (exit code, stdout,
+  stderr);
+* descriptor texts through ``flateta.parse_descriptor``, well-formed,
+  whitespace-varied, truncated and junk: the outcome is the parsed value,
+  or the error's class, message and byte offset.
+
 Each side runs in its own subprocess, once per interpreter given.  REV is
 unpacked with ``git archive`` into a temporary directory, so nothing is
 left registered in the repository.  Only the standard library is used, so
@@ -11,7 +18,7 @@ any installed CPython can run it:
     python3 tools/compare.py HEAD~1
     python3 tools/compare.py HEAD~1 --count 200000 --python python3.10 python3.13
 
-The exit status is 0 when no argv differs, 1 otherwise.
+The exit status is 0 when no input differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The child: read one JSON argv per line, write one JSON [code, stdout,
-# stderr] per line.
-CHILD = """
+# The children: read one JSON input per line, write one JSON outcome per
+# line: [code, stdout, stderr] for an argv; ["value", [base, b, fibers]]
+# or [error class, message, offset] for a descriptor text.
+CLI_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 from flateta import cli
@@ -41,6 +49,19 @@ with open(sys.argv[2], encoding="utf-8") as argvs, open(sys.argv[3], "w", encodi
         stdout, stderr = io.StringIO(), io.StringIO()
         code = cli.run(json.loads(line), stdout=stdout, stderr=stderr)
         out.write(json.dumps([code, stdout.getvalue(), stderr.getvalue()]) + "\\n")
+"""
+DESCRIPTOR_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from flateta import parse_descriptor
+with open(sys.argv[2], encoding="utf-8") as texts, open(sys.argv[3], "w", encoding="utf-8") as out:
+    for line in texts:
+        try:
+            s = parse_descriptor(json.loads(line))
+            row = ["value", [s.base.value, s.b, [[f.alpha, f.beta] for f in s.fibers]]]
+        except Exception as exc:
+            row = [type(exc).__name__, str(exc), getattr(exc, "offset", None)]
+        out.write(json.dumps(row) + "\\n")
 """
 
 COMMANDS = ["eta", "obstruct", "dedekind", "catalog", "gauss-bonnet", "frobnicate", "ETA"]
@@ -58,12 +79,14 @@ HOSTILE = ["--", "--", "-hx", "-hh", "-h=", "--=x", "--=", "--j", "--js", "--jso
            "--chi 2", "eta T2;", " -S2;", "-S2;", "—json", "-h", "--help", "--json",
            "--quiet", "--chi", "--volume", "--tol"]
 EDIT_ALPHABET = "ST2;b=(),+-0139 x ²٢"
+# str.isspace() characters, which the grammar skips between tokens, and
+# integers at the edges of the grammar and of int()'s digit limit.
+SPACES = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"]
+EDGE_INTEGERS = ["+3", "-0", "+0", "007", "-007", "9" * 4300, "-" + "9" * 4300, "9" * 4301,
+                 "1" + "0" * 5000]
 
 
-def _descriptor(rng: random.Random) -> str:
-    text = rng.choice(CATALOG)
-    if rng.random() < 0.5:
-        return text
+def _edited(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 4)):
         pos, edit = rng.randint(0, len(text)), rng.randrange(4)
         if edit == 0:
@@ -73,6 +96,11 @@ def _descriptor(rng: random.Random) -> str:
         else:
             text = text[:pos] + (rng.choice(EDIT_ALPHABET) if edit == 2 else "") + text[pos + 1:]
     return text
+
+
+def _descriptor(rng: random.Random) -> str:
+    text = rng.choice(CATALOG)
+    return text if rng.random() < 0.5 else _edited(rng, text)
 
 
 def _integer(rng: random.Random) -> str:
@@ -108,6 +136,48 @@ def argv_stream(seed: int, count: int):
         yield argv
 
 
+def _descriptor_tokens(rng: random.Random) -> list[str]:
+    """The tokens of a descriptor the grammar accepts, with values that
+    are valid Seifert data, invalid (alpha < 2, gcd > 1) or edge integers."""
+
+    def integer(small: int) -> str:
+        return rng.choice(EDGE_INTEGERS) if rng.random() < 0.03 else str(rng.randint(-small, small))
+
+    tokens = [rng.choice(["S2", "T2"]), ";"]
+    if rng.random() < 0.3:
+        tokens += ["b", "=", integer(9), ";"]
+    for _ in range(rng.choice([0, 1, 2, 3, 3, 4, 4, 5])):
+        if rng.random() < 0.8:  # a valid fiber: beta = +-1 mod alpha
+            alpha = rng.choice([2, 3, 4, 6])
+            pair = [str(alpha), str(rng.choice([1, -1]) + alpha * rng.randint(-3, 3))]
+        else:
+            pair = [integer(12), integer(13)]
+        tokens += ["(", pair[0], ",", pair[1], ")"]
+    return tokens
+
+
+def descriptor_stream(seed: int, count: int):
+    """count descriptor texts, a quarter of each shape: well-formed,
+    whitespace-varied, truncated (a prefix of a spaced text) and junk
+    (random characters, or a spaced text edited like the argv stream's)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens, shape = _descriptor_tokens(rng), rng.randrange(4)
+        if shape == 0:
+            yield "".join(tokens)
+            continue
+        text = "".join(rng.choice(SPACES) + t if rng.random() < 0.4 else t for t in tokens)
+        if rng.random() < 0.3:
+            text += rng.choice(SPACES)
+        if shape == 2:
+            text = text[:rng.randrange(len(text) + 1)]
+        elif shape == 3:
+            alphabet = EDIT_ALPHABET + "".join(SPACES)
+            text = (_edited(rng, text) if rng.random() < 0.5
+                    else "".join(rng.choices(alphabet, k=rng.randint(0, 24))))
+        yield text
+
+
 def _unpack(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
@@ -116,8 +186,8 @@ def _unpack(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def _run_side(python: str, src: Path, argvs: Path, out: Path) -> Path:
-    subprocess.run([python, "-c", CHILD, str(src), str(argvs), str(out)], check=True)
+def _run_side(python: str, child: str, src: Path, inputs: Path, out: Path) -> Path:
+    subprocess.run([python, "-c", child, str(src), str(inputs), str(out)], check=True)
     return out
 
 
@@ -127,51 +197,69 @@ def _kind(code: int, stdout: str) -> str:
     return "usage or syntax error" if code == 1 else f"exit {code}"
 
 
-def compare(argvs: Path, old: Path, new: Path) -> int:
-    """Print every class of differing argv with its first example; return
-    the number of argvs that differ."""
+def _argv_class(before, after) -> str:
+    (c0, out0, err0), (c1, out1, err1) = before, after
+    streams = "+".join(name for name, x, y in (("exit", c0, c1), ("stdout", out0, out1),
+                                               ("stderr", err0, err1)) if x != y)
+    return f"{_kind(c0, out0)} -> {_kind(c1, out1)}; exit {c0} -> {c1}; differs: {streams}"
+
+
+def _descriptor_class(before, after) -> str:
+    parts = "+".join(name for name, x, y in zip(("class", "value or message", "offset"),
+                                                before + [None], after + [None]) if x != y)
+    return f"{before[0]} -> {after[0]}; differs: {parts}"
+
+
+def compare(inputs: Path, old: Path, new: Path, classify) -> int:
+    """Print every class of differing input with its first example; return
+    the number of inputs that differ."""
     groups, shown = Counter(), {}
-    with open(argvs, encoding="utf-8") as a, open(old, encoding="utf-8") as o, \
+    with open(inputs, encoding="utf-8") as i, open(old, encoding="utf-8") as o, \
             open(new, encoding="utf-8") as n:
-        for line, before, after in zip(a, o, n):
+        for line, before, after in zip(i, o, n):
             if before == after:
                 continue
-            (c0, out0, err0), (c1, out1, err1) = json.loads(before), json.loads(after)
-            streams = "+".join(name for name, x, y in (("exit", c0, c1), ("stdout", out0, out1),
-                                                       ("stderr", err0, err1)) if x != y)
-            key = f"{_kind(c0, out0)} -> {_kind(c1, out1)}; exit {c0} -> {c1}; differs: {streams}"
+            key = classify(json.loads(before), json.loads(after))
             groups[key] += 1
             shown.setdefault(key, (json.loads(line), before.strip(), after.strip()))
     for key, count in groups.most_common():
-        argv, before, after = shown[key]
-        print(f"  {count:7d}  {key}\n{'':13}argv {argv!r}")
+        given, before, after = shown[key]
+        print(f"  {count:7d}  {key}\n{'':13}input {given!r:.160}")
         print(f"{'':15}was {before[:160]}\n{'':15}now {after[:160]}")
     return sum(groups.values())
+
+
+# Each stream: its name, its generator, the child that runs an input, and
+# how a difference is classed.
+STREAMS = [("argvs", argv_stream, CLI_CHILD, _argv_class),
+           ("descriptors", descriptor_stream, DESCRIPTOR_CHILD, _descriptor_class)]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare this tree against")
-    parser.add_argument("--count", type=int, default=200_000, help="argvs in the stream")
-    parser.add_argument("--seed", type=int, default=16, help="seed of the argv stream")
+    parser.add_argument("--count", type=int, default=200_000, help="inputs in each stream")
+    parser.add_argument("--seed", type=int, default=16, help="seed of the streams")
     parser.add_argument("--python", nargs="+", default=[sys.executable], help="interpreters")
     options = parser.parse_args()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         old_src = _unpack(options.rev, tmp / "rev")
-        argvs = tmp / "argvs.jsonl"
-        with open(argvs, "w", encoding="utf-8") as f:
-            for argv in argv_stream(options.seed, options.count):
-                f.write(json.dumps(argv) + "\n")
-        for i, python in enumerate(options.python):
-            with ThreadPoolExecutor(2) as pool:
-                old, new = pool.map(_run_side, [python] * 2, [old_src, ROOT / "src"], [argvs] * 2,
-                                    [tmp / f"old{i}.jsonl", tmp / f"new{i}.jsonl"])
-            print(f"{python}: {options.count} argvs, seed {options.seed}, against {options.rev}")
-            found = compare(argvs, old, new)
-            print(f"  {found} differ")
-            differ += found
+        for name, stream, child, classify in STREAMS:
+            inputs = tmp / f"{name}.jsonl"
+            with open(inputs, "w", encoding="utf-8") as f:
+                for given in stream(options.seed, options.count):
+                    f.write(json.dumps(given) + "\n")
+            for i, python in enumerate(options.python):
+                with ThreadPoolExecutor(2) as pool:
+                    old, new = pool.map(
+                        _run_side, [python] * 2, [child] * 2, [old_src, ROOT / "src"],
+                        [inputs] * 2, [tmp / f"{name}-old{i}.jsonl", tmp / f"{name}-new{i}.jsonl"])
+                print(f"{python}: {options.count} {name}, seed {options.seed}, against {options.rev}")
+                found = compare(inputs, old, new, classify)
+                print(f"  {found} differ")
+                differ += found
     return 1 if differ else 0
 
 
