@@ -11,9 +11,9 @@ constant term vanishes: a rational value is stored at order 1, and
 syntactic check.
 
 Nothing in this module rounds, and there is no field arithmetic on
-elements: ``cot_exact`` returns cot(k*pi/n) as an element that can be
-compared, promoted to a larger field or read as coefficients, and that
-is all.  The one consumer of the arithmetic is
+elements: ``cot_exact`` returns cot(k*pi/n) as a frozen value that
+compares within one order, promotes to a larger field or reads as
+coefficients, and that is all.  The one consumer of the arithmetic is
 :mod:`flateta.dedekind`, which sums products of exact cotangents on the
 integers underneath with a packed convolution of its own.  This module
 gives it two things:
@@ -29,8 +29,9 @@ gives it two things:
   (none when N has at most one odd prime), each touching only Phi's
   nonzero terms: ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has a handful
   of them (5 at N = 400, degree 160).  ``_reduction`` works out n, s,
-  the cut n - L and those terms, cached per field.  Phi_N itself is
-  built from two-term factors x^d - 1, multiplied out and divided exactly.
+  the cut n - L and those terms once per field, in the module's one
+  cache; Phi_N itself is built from two-term factors x^d - 1, multiplied
+  out and divided exactly.
 * **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
   M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
   cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
@@ -45,12 +46,13 @@ gives it two things:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
 # is allocated.  It is 4 * dedekind.COT_ALPHA_MAX: the Dedekind route works
@@ -64,7 +66,8 @@ def _check_order(order: int) -> None:
     if order < 1:
         raise DomainError("order must be >= 1")
     if order > FIELD_ORDER_MAX:
-        raise DomainError(f"field order {order} is above FIELD_ORDER_MAX = {FIELD_ORDER_MAX}")
+        raise DomainError(f"field order {shown(order)} is above "
+                          f"FIELD_ORDER_MAX = {FIELD_ORDER_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +81,6 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a float order is refused, never a hit
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """The cyclotomic polynomial Phi_N as an ascending coefficient tuple.
 
@@ -179,40 +181,32 @@ def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class CyclotomicElement:
-    """An exact cotangent value in Q(zeta_N), immutable, as returned by
-    ``cot_exact``.
+    """An exact cotangent value in Q(zeta_N), as returned by ``cot_exact``.
 
     Stored as ``order`` N, an integer ``numerator`` vector over the power
     basis, reduced mod Phi_N with trailing zeros trimmed, and one positive
-    ``denominator``, kept in lowest terms; the value is
+    ``denominator``, kept in lowest terms by ``_element``; the value is
     ``sum(numerator[j] * zeta_N^j) / denominator``.  That form is unique
-    for a given order, so ``==`` compares fields; elements of different
-    orders compare in the field of the lcm of the orders, via ``promoted``.
-    A rational value is canonicalized down to order 1, so its value is
+    for a given order, so ``==`` and ``hash`` compare values of one order;
+    ``promoted`` brings a value to a larger one.  A rational value is
+    canonicalized down to order 1, so its value is
     ``numerator[0] / denominator`` (0 for an empty numerator).
     ``coefficients`` gives the deg(Phi_N) rational coefficients.
 
     >>> cot_exact(1, 6)
-    <(2)*z^1 + (-1)*z^3 in Q(zeta_12)>
+    CyclotomicElement(order=12, numerator=(0, 2, 0, -1), denominator=1)
     """
 
-    __slots__ = ("order", "numerator", "denominator")
-
-    def __new__(cls, *args, **kwargs):
-        raise TypeError(
-            "CyclotomicElement has no public constructor: "
-            "cot_exact(k, n) returns its values"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicElement is immutable")
+    order: int
+    numerator: tuple[int, ...]
+    denominator: int
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The deg(Phi_order) coefficients over the power basis."""
-        degree = len(cyclotomic_polynomial(self.order)) - 1
-        padding = (Fraction(0),) * (degree - len(self.numerator))
+        padding = (Fraction(0),) * (_reduction(self.order)[3] - len(self.numerator))
         return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
 
     def promoted(self, order: int) -> "CyclotomicElement":
@@ -220,7 +214,7 @@ class CyclotomicElement:
         multiple of self.order.
 
         A rational value stays at order 1: its vector is the same in
-        every field, which is all ``==`` needs.
+        every field.
         """
         _check_order(order)
         if order % self.order:
@@ -232,39 +226,17 @@ class CyclotomicElement:
         spread[::step] = self.numerator
         return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
 
-    def __eq__(self, other):
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        order = lcm(self.order, other.order)
-        a, b = self.promoted(order), other.promoted(order)
-        return (a.numerator, a.denominator) == (b.numerator, b.denominator)
-
-    __hash__ = None  # values compare across orders; hashing would break that
-
-    def __repr__(self):
-        terms = []
-        for j, c in enumerate(self.coefficients):
-            if c:
-                terms.append(str(c) if j == 0 else f"({c})*z^{j}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} in Q(zeta_{self.order})>"
-
 
 def _element(order: int, rem, den: int) -> CyclotomicElement:
     """The element rem(zeta_order) / den, for an integer vector rem already
-    reduced mod Phi_order and den > 0: the one constructor every element
-    goes through.  Trims rem, brings the pair to lowest terms and moves a
-    rational value down to order 1."""
+    reduced mod Phi_order and den > 0, in canonical form: rem trimmed, the
+    pair in lowest terms and a rational value at order 1."""
     rem = _trim(list(rem))
     g = gcd(den, *rem)
     if g > 1:
         rem = [c // g for c in rem]
         den //= g
-    elem = object.__new__(CyclotomicElement)
-    object.__setattr__(elem, "order", order if len(rem) > 1 else 1)
-    object.__setattr__(elem, "numerator", tuple(rem))
-    object.__setattr__(elem, "denominator", den)
-    return elem
+    return CyclotomicElement(order if len(rem) > 1 else 1, tuple(rem), den)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +251,14 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     e^(-i*theta)) with e^(i*pi/n) = zeta_M^(M/(2n)) and i = zeta_M^(M/4).
 
     >>> cot_exact(1, 4)
-    <1 in Q(zeta_1)>
+    CyclotomicElement(order=1, numerator=(1,), denominator=1)
     """
     if not (type(k) is int and type(n) is int):
         raise DomainError(f"k and n must be ints, got {k!r} and {n!r}")
     if n < 1:
         raise DomainError("cotangent denominator n must be >= 1")
     if k % n == 0:
-        raise PoleError(f"cot({k}*pi/{n}) is a pole")
+        raise PoleError(f"cot({shown(k)}*pi/{shown(n)}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
     parity, half, m = _cot_half(k % n, n)

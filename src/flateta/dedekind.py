@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi
-from .errors import DomainError
+from .errors import DomainError, shown
 
 _FLIP = bytes(b ^ 128 for b in range(256))  # translate: each byte with its top bit flipped
 
@@ -74,10 +74,10 @@ def _check_pair(beta: int, alpha: int) -> None:
     if not (type(beta) is int and type(alpha) is int):
         raise DomainError(f"beta and alpha must be ints, got {beta!r} and {alpha!r}")
     if alpha < 1:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
+        raise DomainError(f"alpha must be >= 1, got {shown(alpha)}")
     if gcd(beta, alpha) != 1:
         raise DomainError(
-            f"gcd({beta}, {alpha}) != 1: Dedekind sums need coprime arguments"
+            f"gcd({shown(beta)}, {shown(alpha)}) != 1: Dedekind sums need coprime arguments"
         )
 
 
@@ -104,7 +104,7 @@ def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
     _check_pair(beta, alpha)
     if alpha > SAWTOOTH_ALPHA_MAX:
         raise DomainError(
-            f"alpha = {alpha} is above SAWTOOTH_ALPHA_MAX = {SAWTOOTH_ALPHA_MAX}, "
+            f"alpha = {shown(alpha)} is above SAWTOOTH_ALPHA_MAX = {SAWTOOTH_ALPHA_MAX}, "
             "the largest alpha the sawtooth route sums"
         )
     # For coprime beta and 0 < k < alpha neither k/alpha nor k*beta/alpha is
@@ -128,7 +128,7 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     _check_pair(beta, alpha)
     if alpha > COT_ALPHA_MAX:
         raise DomainError(
-            f"alpha = {alpha} is above {COT_ALPHA_MAX}, the largest alpha "
+            f"alpha = {shown(alpha)} is above {COT_ALPHA_MAX}, the largest alpha "
             "the cyclotomic Dedekind route accepts"
         )
     if alpha == 1:

@@ -57,3 +57,15 @@ class DescriptorSyntaxError(FlatEtaError, ValueError):
 
 class UsageError(FlatEtaError):
     """Command line could not be parsed."""
+
+
+def shown(value) -> str:
+    """``str(value)`` for an error message; an int past Python's int-to-str
+    digit limit shows as its sign and bit length instead, alone or as a
+    Fraction's part, so refusing it still raises the typed error."""
+    try:
+        return str(value)
+    except ValueError:
+        if value.denominator != 1:
+            return f"{shown(value.numerator)}/{shown(value.denominator)}"
+        return f"{'-' * (value < 0)}<int of {abs(value.numerator).bit_length()} bits>"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .dedekind import dedekind_cot
-from .errors import DomainError, NotFlatError, ObstructionError
+from .errors import DomainError, NotFlatError, ObstructionError, shown
 from .seifert import BaseSurface, FiberPair, SeifertData, _flatness
 
 # The cusp obstruction only applies to one-cusped fillings; every flat
@@ -104,7 +104,7 @@ def predicted_signature(eta) -> int:
         raise DomainError(f"eta must be a rational number, got {eta!r}") from None
     if value.denominator != 1:
         raise ObstructionError(
-            f"eta = {value} is not an integer; no geometric filler exists"
+            f"eta = {shown(value)} is not an integer; no geometric filler exists"
         )
     return -int(value)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError
+from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, shown
 
 # Lattice spacing: one unit of Euler characteristic is (4/3)*pi^2 of volume.
 LATTICE_COEFFICIENT = Fraction(4, 3)
@@ -50,7 +50,7 @@ def volume_from_chi(chi: int) -> VolumeValue:
         raise DomainError(f"chi must be an int, got {chi!r}")
     if chi < 1:
         raise DomainError(
-            f"chi must be >= 1, got {chi}: finite-volume hyperbolic "
+            f"chi must be >= 1, got {shown(chi)}: finite-volume hyperbolic "
             "4-manifolds have positive Euler characteristic"
         )
     coefficient = LATTICE_COEFFICIENT * chi

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DescriptorSyntaxError, DomainError, ValidationError
+from .errors import DescriptorSyntaxError, DomainError, ValidationError, shown
 
 
 class BaseSurface(enum.Enum):
@@ -72,9 +72,10 @@ class SeifertData:
                 if type(value) is not int:
                     raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
             if fiber.alpha < 2:
-                raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {fiber.alpha}")
+                raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {shown(fiber.alpha)}")
             if gcd(fiber.alpha, fiber.beta) != 1:
-                raise ValidationError(f"fibers[{i}]: gcd({fiber.alpha},{fiber.beta}) != 1")
+                raise ValidationError(f"fibers[{i}]: gcd({shown(fiber.alpha)},"
+                                      f"{shown(fiber.beta)}) != 1")
 
     @property
     def genus(self) -> int:

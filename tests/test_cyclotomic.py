@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flateta import (
-    CyclotomicElement,
     DomainError,
     PoleError,
     cot_exact,
@@ -231,11 +230,6 @@ class TestRepresentation:
 
 
 class TestCotExact:
-    @pytest.mark.parametrize("args", [(), (12, [1])], ids=["no-arguments", "order-and-vector"])
-    def test_no_public_constructor(self, args):
-        with pytest.raises(TypeError, match="cot_exact"):
-            CyclotomicElement(*args)
-
     @given(n=st.integers(1, 300), k=st.integers(-1000, 1000))
     @settings(max_examples=200, deadline=None)
     def test_nonzero_entries_share_the_parity_of_a_quarter_order(self, n, k):
@@ -285,12 +279,22 @@ class TestCotExact:
 
     def test_periodic_in_k(self):
         assert cot_exact(1, 6) == cot_exact(7, 6) == cot_exact(-5, 6)
+        assert hash(cot_exact(1, 6)) == hash(cot_exact(7, 6))
+
+    def test_is_immutable(self):
+        value = cot_exact(1, 6)
+        with pytest.raises(AttributeError):
+            value.order = 24
+        assert value.order == 12
 
     def test_equal_across_orders(self):
-        # cot(pi/3) lives in Q(zeta_12); promoted values compare at the lcm
+        # cot(pi/3) lives in Q(zeta_12); == compares within one order, so
+        # values of two orders compare once promoted to a common one
         value = cot_exact(1, 3)
-        assert value.promoted(24) == value == cot_exact(2, 6).promoted(36)
-        assert value.promoted(24) != cot_exact(1, 6)
+        assert value.promoted(12) == value
+        assert value.promoted(72) == cot_exact(2, 6).promoted(36).promoted(72)
+        assert value.promoted(24) != value
+        assert value.promoted(24) != cot_exact(1, 6).promoted(24)
         assert cot_exact(1, 4) == cot_exact(5, 4).promoted(8)
 
     def test_embedding_at_higher_order_stays_rational(self):

@@ -223,7 +223,7 @@ def test_field_set_up_is_shared_with_cot_exact():
 @pytest.mark.parametrize(
     "module, names",
     [
-        (cyclotomic, {"cyclotomic_polynomial", "_reduction"}),
+        (cyclotomic, {"_reduction"}),
         (dedekind, {"_cot_sum", "_cot_table"}),
     ],
     ids=["cyclotomic", "dedekind"],

@@ -4,6 +4,7 @@ how its public calls answer hostile arguments."""
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,12 @@ def test_import_leaves_argparse_unloaded():
 # ValueError or AttributeError, returned a wrong value (doubled_euler("x")
 # was 'xx'), or never returned (a float order stepped the factor loop of
 # cyclotomic_polynomial forever), or took a bool for an int (dedekind_cot(True, 3)
-# was 1/18).  (call, error class, text the message holds)
+# was 1/18).  The digit_limit calls are correctly typed: their messages
+# formatted an int past Python's int-to-str digit limit (4300 digits by
+# default) and raised a bare ValueError, and cyclotomic_polynomial([])
+# raised TypeError: unhashable type from its cache.  (call, error class,
+# text the message holds)
+H = 10**5000
 HOSTILE_CALLS = {
     "polynomial_float_order": (lambda: flateta.cyclotomic_polynomial(2.5), DomainError, "order"),
     "polynomial_str_order": (lambda: flateta.cyclotomic_polynomial("12"), DomainError, "order"),
@@ -83,6 +89,31 @@ HOSTILE_CALLS = {
     "promoted_bool_order": (lambda: flateta.cot_exact(1, 3).promoted(True), DomainError, "order"),
     "volume_from_chi_bool": (lambda: flateta.volume_from_chi(True), DomainError, "chi"),
     "doubled_euler_bool": (lambda: flateta.doubled_euler(True), DomainError, "chi_w"),
+    "digit_limit_dedekind_cot": (lambda: flateta.dedekind_cot(1, H), DomainError, "bits>"),
+    "digit_limit_dedekind_cot_negative": (
+        lambda: flateta.dedekind_cot(1, -H), DomainError, "bits>"
+    ),
+    "digit_limit_dedekind_cot_gcd": (
+        lambda: flateta.dedekind_cot(2 * H, 4 * H), DomainError, "bits>"
+    ),
+    "digit_limit_dedekind_sawtooth": (
+        lambda: flateta.dedekind_sawtooth(1, H), DomainError, "bits>"
+    ),
+    "digit_limit_cot_exact": (lambda: flateta.cot_exact(1, H), DomainError, "bits>"),
+    "digit_limit_cot_exact_pole": (lambda: flateta.cot_exact(H, H), flateta.PoleError, "bits>"),
+    "digit_limit_promoted": (lambda: flateta.cot_exact(1, 3).promoted(H), DomainError, "bits>"),
+    "digit_limit_polynomial": (lambda: flateta.cyclotomic_polynomial(H), DomainError, "bits>"),
+    "digit_limit_volume_from_chi": (lambda: flateta.volume_from_chi(-H), DomainError, "bits>"),
+    "digit_limit_predicted_signature": (
+        lambda: flateta.predicted_signature(Fraction(1, H)), flateta.ObstructionError, "bits>"
+    ),
+    "digit_limit_fiber_alpha": (
+        lambda: SeifertData("S2", 0, ((-H, 1),)), ValidationError, "bits>"
+    ),
+    "digit_limit_fiber_gcd": (
+        lambda: SeifertData("S2", 0, ((2 * H, 2),)), ValidationError, "bits>"
+    ),
+    "polynomial_list_order": (lambda: flateta.cyclotomic_polynomial([]), DomainError, "order"),
 }
 
 
