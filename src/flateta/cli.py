@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .dedekind import dedekind_cot, dedekind_sawtooth
-from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError
+from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError, shown
 from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
 from .gaussbonnet import chi_from_volume, volume_from_chi
 from .seifert import SeifertData, parse_descriptor, render_descriptor
@@ -221,11 +221,11 @@ def _help(command) -> str:
     """The help text of a command, or of the tool when command is None."""
     commands = tuple(_Arg(name, help=entry[1]) for name, entry in _COMMANDS.items())
     _, text, arguments = _COMMANDS.get(command, (None, _ABOUT, commands))
-    shown = [f"{a.name} {a.name[2:].upper()}" if a.name[0] == "-" else a.name for a in arguments]
-    group = " | ".join(s for s, a in zip(shown, arguments) if a.one_of)
-    words = [s if a.name[0] != "-" else f"[{s}]" for s, a in zip(shown, arguments) if not a.one_of]
+    labels = [f"{a.name} {a.name[2:].upper()}" if a.name[0] == "-" else a.name for a in arguments]
+    group = " | ".join(s for s, a in zip(labels, arguments) if a.one_of)
+    words = [s if a.name[0] != "-" else f"[{s}]" for s, a in zip(labels, arguments) if not a.one_of]
     words = ([f"({group})"] if group else []) + words if command else ["command ..."]
-    rows = [*zip(shown, (a.help for a in arguments)), ("-h, --help", "show this help and exit"),
+    rows = [*zip(labels, (a.help for a in arguments)), ("-h, --help", "show this help and exit"),
             ("--json", 'emit a single JSON object (rationals as "p/q" strings)'),
             ("--quiet", "print only the primary result")]
     usage = " ".join(filter(None, ["usage: flateta", command, "[-h] [--json] [--quiet]", *words]))
@@ -264,7 +264,8 @@ def _parse(argv) -> SimpleNamespace:
         found = _option(token, names)
         if found is None and args.command is None:
             if token not in _COMMANDS:
-                raise UsageError(f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+                raise UsageError(f"invalid command {shown(token)} "
+                                 f"(choose from {', '.join(_COMMANDS)})")
             args.command, (args.handler, _, arguments) = token, _COMMANDS[token]
             names += [a.name for a in arguments if a.name[0] == "-"]
         elif found is None:
@@ -297,7 +298,8 @@ def _parse(argv) -> SimpleNamespace:
         try:
             setattr(args, a.name.lstrip("-"), a.default if text is None else a.convert(text))
         except ValueError:
-            raise UsageError(f"{a.name}: invalid {a.convert.__name__} value: {text!r}") from None
+            raise UsageError(f"{a.name}: invalid {a.convert.__name__} value: "
+                             f"{shown(text)}") from None
     return args
 
 
@@ -324,7 +326,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     try:
         if not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):
-            raise UsageError(f"argv must be a list or tuple of str, got {argv!r}")
+            raise UsageError(f"argv must be a list or tuple of str, got {shown(argv)}")
         args = _parse(argv)
         result = args.handler(args)
         if args.json:
@@ -333,20 +335,20 @@ def run(argv, stdout=None, stderr=None) -> int:
         else:
             text = "\n".join((result.quiet if args.quiet else result.human)()) + "\n"
         error = result.error
-    except _Help as shown:
-        text, error = str(shown), None
+    except _Help as asked:
+        text, error = str(asked), None
     except tuple(_EXIT_CODES) as exc:
         text, error = "", exc
     code = 0 if error is None else next(c for k, c in _EXIT_CODES.items() if isinstance(error, k))
     try:
         if text:
             print(text, end="", file=out, flush=True)  # out is None: no stdout, no output
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a closed file
         error, code = f"cannot write output: {exc}", 1
     if error is not None:
         try:
             print(f"error: {error}", file=err)
-        except OSError:
+        except (OSError, ValueError):
             pass  # stderr failed as well; the exit code still reports it
     return code
 

@@ -62,7 +62,7 @@ FIELD_ORDER_MAX = 4000
 
 def _check_order(order: int) -> None:
     if type(order) is not int:
-        raise DomainError(f"order must be an int, got {order!r}")
+        raise DomainError(f"order must be an int, got {shown(order)}")
     if order < 1:
         raise DomainError("order must be >= 1")
     if order > FIELD_ORDER_MAX:
@@ -186,14 +186,15 @@ class CyclotomicElement:
     """An exact cotangent value in Q(zeta_N), as returned by ``cot_exact``.
 
     Stored as ``order`` N, an integer ``numerator`` vector over the power
-    basis, reduced mod Phi_N with trailing zeros trimmed, and one positive
-    ``denominator``, kept in lowest terms by ``_element``; the value is
-    ``sum(numerator[j] * zeta_N^j) / denominator``.  That form is unique
-    for a given order, so ``==`` and ``hash`` compare values of one order;
-    ``promoted`` brings a value to a larger one.  A rational value is
-    canonicalized down to order 1, so its value is
-    ``numerator[0] / denominator`` (0 for an empty numerator).
-    ``coefficients`` gives the deg(Phi_N) rational coefficients.
+    basis and one positive ``denominator``: the value
+    ``sum(numerator[j] * zeta_N^j) / denominator``.  Only ``cot_exact`` and
+    ``promoted`` build canonical values (through ``_element``: numerator
+    reduced mod Phi_N and trimmed, lowest terms, a rational value at order
+    1, there ``numerator[0] / denominator``, 0 when empty), unique for a
+    given order.  ``==`` and ``hash`` compare fields, so they compare the
+    values of canonical elements of one order; a value built through the
+    dataclass constructor is taken as given.  ``promoted`` brings a value
+    to a larger order; ``coefficients`` gives its deg(Phi_N) coefficients.
 
     >>> cot_exact(1, 6)
     CyclotomicElement(order=12, numerator=(0, 2, 0, -1), denominator=1)
@@ -254,7 +255,7 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     CyclotomicElement(order=1, numerator=(1,), denominator=1)
     """
     if not (type(k) is int and type(n) is int):
-        raise DomainError(f"k and n must be ints, got {k!r} and {n!r}")
+        raise DomainError(f"k and n must be ints, got {shown(k)} and {shown(n)}")
     if n < 1:
         raise DomainError("cotangent denominator n must be >= 1")
     if k % n == 0:

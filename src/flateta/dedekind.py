@@ -63,7 +63,7 @@ def sawtooth(x) -> Fraction:
     try:
         x = Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"x must be a rational number, got {x!r}") from None
+        raise DomainError(f"x must be a rational number, got {shown(x)}") from None
     if x.denominator == 1:
         return Fraction(0)
     floor = x.numerator // x.denominator
@@ -72,13 +72,12 @@ def sawtooth(x) -> Fraction:
 
 def _check_pair(beta: int, alpha: int) -> None:
     if not (type(beta) is int and type(alpha) is int):
-        raise DomainError(f"beta and alpha must be ints, got {beta!r} and {alpha!r}")
+        raise DomainError(f"beta and alpha must be ints, got {shown(beta)} and {shown(alpha)}")
     if alpha < 1:
         raise DomainError(f"alpha must be >= 1, got {shown(alpha)}")
     if gcd(beta, alpha) != 1:
-        raise DomainError(
-            f"gcd({shown(beta)}, {shown(alpha)}) != 1: Dedekind sums need coprime arguments"
-        )
+        raise DomainError(f"gcd({shown(beta)}, {shown(alpha)}) != 1: "
+                          "Dedekind sums need coprime arguments")
 
 
 # Largest alpha the cotangent route accepts, 1000, so that its fields stay

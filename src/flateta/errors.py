@@ -3,9 +3,14 @@
 Library code raises these instead of bare ValueError so the CLI can map
 each failure class onto its exit code (usage 1, domain/validation 2,
 obstruction 3).
+
+A refusal shows a value only through ``shown``: a caller's value by its
+repr, a number the library computed by its str, an int past Python's
+int-to-str digit limit (alone or as a Fraction's part) by its sign and
+bit length, and anything else that cannot be formatted as ``<TypeName>``.
 """
 
-from __future__ import annotations
+from fractions import Fraction
 
 
 class FlatEtaError(Exception):
@@ -59,13 +64,14 @@ class UsageError(FlatEtaError):
     """Command line could not be parsed."""
 
 
-def shown(value) -> str:
-    """``str(value)`` for an error message; an int past Python's int-to-str
-    digit limit shows as its sign and bit length instead, alone or as a
-    Fraction's part, so refusing it still raises the typed error."""
+def shown(value, form=repr) -> str:
+    """form(value) for a refusal's message, never raising (the rule above)."""
     try:
-        return str(value)
-    except ValueError:
-        if value.denominator != 1:
-            return f"{shown(value.numerator)}/{shown(value.denominator)}"
-        return f"{'-' * (value < 0)}<int of {abs(value.numerator).bit_length()} bits>"
+        return form(value)
+    except Exception:  # an int past the digit limit, or a broken __repr__
+        if type(value) is int:
+            return f"{'-' * (value < 0)}<int of {abs(value).bit_length()} bits>"
+        if type(value) is not Fraction:
+            return f"<{type(value).__name__}>"
+        num, den = shown(value.numerator), shown(value.denominator)
+        return f"Fraction({num}, {den})" if form is repr else f"{num}/{den}".removesuffix("/1")

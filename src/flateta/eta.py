@@ -74,11 +74,7 @@ def eta_flat(s: SeifertData) -> EtaResult:
     e, chi_orb, lcm_alpha = _flatness(s)
     if e or chi_orb:  # not flat: Fractions only for the message
         problems = [(n, Fraction(v, lcm_alpha)) for n, v in (("e", e), ("chi_orb", chi_orb)) if v]
-        try:
-            shown = [f"{name} = {value}" for name, value in problems]
-        except ValueError:  # past int's str digit limit: give the sign only
-            shown = [f"{name} {'<' if value < 0 else '>'} 0" for name, value in problems]
-        raise NotFlatError("not flat: " + ", ".join(shown))
+        raise NotFlatError("not flat: " + ", ".join(f"{n} = {shown(v, str)}" for n, v in problems))
     contributions = tuple((f, dedekind_cot(f.beta, f.alpha)) for f in s.fibers)
     den = lcm(*(c.denominator for _, c in contributions))
     value = Fraction(4 * sum(c.numerator * (den // c.denominator) for _, c in contributions), den)
@@ -101,11 +97,10 @@ def predicted_signature(eta) -> int:
     try:
         value = Fraction(eta)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"eta must be a rational number, got {eta!r}") from None
+        raise DomainError(f"eta must be a rational number, got {shown(eta)}") from None
     if value.denominator != 1:
-        raise ObstructionError(
-            f"eta = {shown(value)} is not an integer; no geometric filler exists"
-        )
+        raise ObstructionError(f"eta = {shown(value, str)} is not an integer; "
+                               "no geometric filler exists")
     return -int(value)
 
 

@@ -47,12 +47,10 @@ def volume_from_chi(chi: int) -> VolumeValue:
     '13.1594725348'
     """
     if type(chi) is not int:
-        raise DomainError(f"chi must be an int, got {chi!r}")
+        raise DomainError(f"chi must be an int, got {shown(chi)}")
     if chi < 1:
-        raise DomainError(
-            f"chi must be >= 1, got {shown(chi)}: finite-volume hyperbolic "
-            "4-manifolds have positive Euler characteristic"
-        )
+        raise DomainError(f"chi must be >= 1, got {shown(chi)}: finite-volume hyperbolic "
+                          "4-manifolds have positive Euler characteristic")
     coefficient = LATTICE_COEFFICIENT * chi
     return VolumeValue(coefficient=coefficient, approx=_render(coefficient))
 
@@ -64,7 +62,7 @@ def _finite(name: str, value) -> float:
     except OverflowError:
         number = math.inf
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+        raise DomainError(f"{name} must be a real number, got {shown(value)}") from None
     if not math.isfinite(number):
         raise DomainError(f"{name} must be finite, got {number}")
     return number
@@ -113,5 +111,5 @@ def doubled_euler(chi_w: int) -> int:
     chi(DW) = 2*chi(W) - chi(boundary) = 2*chi(W).
     """
     if type(chi_w) is not int:
-        raise DomainError(f"chi_w must be an int, got {chi_w!r}")
+        raise DomainError(f"chi_w must be an int, got {shown(chi_w)}")
     return 2 * chi_w

@@ -54,23 +54,21 @@ class SeifertData:
 
     def __post_init__(self):
         if not isinstance(self.base, BaseSurface):
-            try:
-                object.__setattr__(self, "base", BaseSurface(self.base))
-            except ValueError:
-                raise ValidationError(f"base must be 'S2' or 'T2', got {self.base!r}") from None
+            if self.base not in ("S2", "T2"):  # asked first: BaseSurface()'s refusal reprs it
+                raise ValidationError(f"base must be 'S2' or 'T2', got {shown(self.base)}")
+            object.__setattr__(self, "base", BaseSurface(self.base))
         try:
             fibers = tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in self.fibers)
         except TypeError:
-            raise ValidationError(
-                f"fibers must be (alpha, beta) pairs, got {self.fibers!r}"
-            ) from None
+            raise ValidationError("fibers must be (alpha, beta) pairs, "
+                                  f"got {shown(self.fibers)}") from None
         object.__setattr__(self, "fibers", fibers)
         if type(self.b) is not int:  # not bool: True renders as 'True'
-            raise ValidationError(f"b must be an int, got {self.b!r}")
+            raise ValidationError(f"b must be an int, got {shown(self.b)}")
         for i, fiber in enumerate(fibers):
             for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
                 if type(value) is not int:
-                    raise ValidationError(f"fibers[{i}]: {name} must be an int, got {value!r}")
+                    raise ValidationError(f"fibers[{i}]: {name} must be an int, got {shown(value)}")
             if fiber.alpha < 2:
                 raise ValidationError(f"fibers[{i}]: alpha must be >= 2, got {shown(fiber.alpha)}")
             if gcd(fiber.alpha, fiber.beta) != 1:
@@ -86,7 +84,7 @@ def validate(s: SeifertData) -> SeifertData:
     """The library's boundary type check: ``s`` if it is a SeifertData
     (valid by construction), else ValidationError naming SeifertData."""
     if not isinstance(s, SeifertData):
-        raise ValidationError(f"expected SeifertData, got {s!r}")
+        raise ValidationError(f"expected SeifertData, got {shown(s)}")
     return s
 
 
@@ -158,7 +156,7 @@ def parse_descriptor(text: str) -> SeifertData:
     """Parse a Seifert descriptor such as 'S2;(2,1)(3,-1)(6,-1)' or
     'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
     if not isinstance(text, str):
-        raise DomainError(f"descriptor must be a str, got {text!r}")
+        raise DomainError(f"descriptor must be a str, got {shown(text)}")
     if _WELL_FORMED.fullmatch(text):
         base, *values = _VALUES.findall(text)
         try:

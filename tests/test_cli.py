@@ -61,6 +61,13 @@ class _Full(io.StringIO):
 NO_SPACE = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
+def _closed():
+    """A stream already closed: every write raises ValueError."""
+    stream = io.StringIO()
+    stream.close()
+    return stream
+
+
 def parse_json_output(text):
     payload = json.loads(text)
     jsonschema.validate(payload, SCHEMA)
@@ -755,11 +762,16 @@ class TestCliContract:
         assert sys.stdout is stdout
         assert failures == []
 
-    @pytest.mark.parametrize("argv", [("eta", "T2;"), ("catalog", "--json"), ("--help",)])
+    @pytest.mark.parametrize(
+        "argv", [("eta", "T2;"), ("catalog", "--json"), ("--help",), ("catalog",)]
+    )
     def test_failed_stdout_write_is_reported(self, argv):
         err = io.StringIO()
         assert run(list(argv), stdout=_Full(), stderr=err) == 1
         assert err.getvalue() == NO_SPACE
+        err = io.StringIO()
+        assert run(list(argv), stdout=_closed(), stderr=err) == 1
+        assert err.getvalue() == "error: cannot write output: I/O operation on closed file\n"
 
     def test_failed_flush_is_reported(self):
         class Unflushable(io.StringIO):
@@ -779,6 +791,8 @@ class TestCliContract:
         assert run(["eta", "T2;"], stdout=_Full(), stderr=_Full()) == 1
         assert run(["eta", "X2;"], stdout=io.StringIO(), stderr=_Full()) == 1
         assert run(["obstruct", "S2;(2,1)(3,-1)(6,-1)"], stdout=io.StringIO(), stderr=_Full()) == 3
+        assert run(["catalog"], stdout=_closed(), stderr=_closed()) == 1
+        assert run(["frobnicate"], stdout=io.StringIO(), stderr=_closed()) == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

@@ -1,6 +1,7 @@
 """The package namespace: what ``from flateta import *`` exports, and
 how its public calls answer hostile arguments."""
 
+import io
 import subprocess
 import sys
 import threading
@@ -141,3 +142,67 @@ def test_float_order_is_refused_after_the_int_order_is_cached():
     flateta.cyclotomic_polynomial(12)
     with pytest.raises(DomainError, match="order"):
         flateta.cyclotomic_polynomial(12.0)
+
+
+class _BrokenRepr:
+    """A value whose repr raises."""
+
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+# One digit past the int-to-str limit in force (1 when there is no limit).
+LONG = 10 ** sys.get_int_max_str_digits()
+HOSTILE_VALUES = {
+    "broken_repr": _BrokenRepr(),
+    "long": LONG,
+    "long_negative": -LONG,
+    "list_of_long": [LONG],
+    "tuple_of_long": (LONG,),
+    "dict_of_long": {LONG: LONG},
+    "fraction_long_denominator": Fraction(1, LONG),
+    "fraction_long_numerator": Fraction(LONG, 3),
+    "none": None,
+    "text": "x",
+    "nan": float("nan"),
+    "bool": True,
+}
+# Every public call taking an argument, one entry per argument position.
+ENTRY_POINTS = {
+    "run": lambda x: flateta.run(x, io.StringIO(), io.StringIO()),
+    "parse_descriptor": flateta.parse_descriptor,
+    "render_descriptor": flateta.render_descriptor,
+    "validate": flateta.validate,
+    "euler_number": flateta.euler_number,
+    "orbifold_euler_characteristic": flateta.orbifold_euler_characteristic,
+    "eta_flat": flateta.eta_flat,
+    "obstruction_report": flateta.obstruction_report,
+    "predicted_signature": flateta.predicted_signature,
+    "sawtooth": flateta.sawtooth,
+    "dedekind_cot_beta": lambda x: flateta.dedekind_cot(x, 7),
+    "dedekind_cot_alpha": lambda x: flateta.dedekind_cot(1, x),
+    "dedekind_sawtooth_beta": lambda x: flateta.dedekind_sawtooth(x, 7),
+    "dedekind_sawtooth_alpha": lambda x: flateta.dedekind_sawtooth(1, x),
+    "cot_exact_k": lambda x: flateta.cot_exact(x, 3),
+    "cot_exact_n": lambda x: flateta.cot_exact(1, x),
+    "cyclotomic_polynomial": flateta.cyclotomic_polynomial,
+    "promoted": lambda x: flateta.cot_exact(1, 3).promoted(x),
+    "volume_from_chi": flateta.volume_from_chi,
+    "chi_from_volume": flateta.chi_from_volume,
+    "chi_from_volume_tolerance": lambda x: flateta.chi_from_volume(13.159, x),
+    "doubled_euler": flateta.doubled_euler,
+    "seifert_base": SeifertData,
+    "seifert_b": lambda x: SeifertData("S2", x),
+    "seifert_fibers": lambda x: SeifertData("S2", 0, x),
+    "seifert_fiber_alpha": lambda x: SeifertData("S2", 0, ((x, 1),)),
+    "seifert_fiber_beta": lambda x: SeifertData("S2", 0, ((2, x),)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("value", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
+def test_every_entry_point_ends_in_a_result_or_a_typed_error(entry, value):
+    try:
+        entry(value)
+    except FlatEtaError:
+        pass

@@ -86,7 +86,8 @@ def functions(path: Path) -> list[Function]:
                 found.append(Function(module, const))
             walk(const)
 
-    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    # dont_inherit: compile with the module's own __future__ flags, not this file's
+    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec", dont_inherit=True))
     return found
 
 
