@@ -3,7 +3,7 @@ integrality obstructions to geometric bounding, and hyperbolic
 4-manifold volume <-> Euler characteristic conversion.
 
 All public values are exact (arbitrary-precision rationals or cyclotomic
-field elements); floating point appears only in decimal renderings.
+field elements), and no float decides anything.
 """
 
 from .cyclotomic import CyclotomicElement, cot_exact, cyclotomic_polynomial

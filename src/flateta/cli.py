@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 from .dedekind import dedekind_cot, dedekind_sawtooth
 from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError, shown
 from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
-from .gaussbonnet import chi_from_volume, volume_from_chi
+from .gaussbonnet import TOLERANCE, chi_from_volume, real, volume_from_chi
 from .seifert import SeifertData, parse_descriptor, render_descriptor
 
 SCHEMA_VERSION = "1"
@@ -169,7 +169,7 @@ def _cmd_gauss_bonnet(args) -> _Result:
         )
     chi = chi_from_volume(args.volume, args.tol)
     return _Result(
-        lambda: {"volume": args.volume, "tolerance": args.tol, "chi": chi},
+        lambda: {"volume": float(args.volume), "tolerance": float(args.tol), "chi": chi},
         lambda: [str(chi)],
         lambda: [f"chi = {chi}"],
     )
@@ -208,8 +208,8 @@ _COMMANDS = {
         _cmd_gauss_bonnet,
         "volume <-> Euler characteristic conversion for hyperbolic 4-manifolds",
         (_Arg("--chi", int, "Euler characteristic to convert to volume", one_of=True),
-         _Arg("--volume", float, "volume to convert to Euler characteristic", one_of=True),
-         _Arg("--tol", float, "matching tolerance for --volume (default 1e-6)", 1e-6)),
+         _Arg("--volume", real, "volume to convert to Euler characteristic", one_of=True),
+         _Arg("--tol", real, "matching tolerance for --volume (default 1e-6)", TOLERANCE)),
     ),
 }
 _FLAGS = ["-h", "--help", "--json", "--quiet"]
@@ -297,8 +297,8 @@ def _parse(argv) -> SimpleNamespace:
         text = given.get(a.name)
         try:
             setattr(args, a.name.lstrip("-"), a.default if text is None else a.convert(text))
-        except ValueError:
-            raise UsageError(f"{a.name}: invalid {a.convert.__name__} value: "
+        except ValueError:  # DomainError too: real(), as int(), refuses text past the digit limit
+            raise UsageError(f"{a.name}: invalid {'int' if a.convert is int else 'float'} value: "
                              f"{shown(text)}") from None
     return args
 
@@ -343,12 +343,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         if text:
             print(text, end="", file=out, flush=True)  # out is None: no stdout, no output
-    except (OSError, ValueError) as exc:  # ValueError: a closed file
+    except (AttributeError, OSError, ValueError) as exc:  # no write(), or a closed file
         error, code = f"cannot write output: {exc}", 1
     if error is not None:
         try:
             print(f"error: {error}", file=err)
-        except (OSError, ValueError):
+        except (AttributeError, OSError, ValueError):
             pass  # stderr failed as well; the exit code still reports it
     return code
 

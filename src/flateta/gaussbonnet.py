@@ -2,41 +2,61 @@
 
 In dimension four, Vol(M) = (4*pi^2/3) * chi(M), so volumes form the
 lattice of positive integer multiples of 4*pi^2/3.  Volumes are carried
-exactly as a rational coefficient of pi^2; decimal text is rendered on
-demand and never feeds back into exact state.
+exactly as a rational coefficient of pi^2, and every verdict and rendered
+digit is worked out on integers at both of ``_pi_squared``'s bounds: pi^2
+is irrational, so doubling the precision makes the two answers agree.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, shown
 
 # Lattice spacing: one unit of Euler characteristic is (4/3)*pi^2 of volume.
 LATTICE_COEFFICIENT = Fraction(4, 3)
+TOLERANCE = Fraction(1, 10**6)  # the default of chi_from_volume and of --tol
+_DECIMAL = Context(traps=[])  # reads decimal text exactly and other text as NaN
 
-_RENDER_DIGITS = 12
+
+@lru_cache(maxsize=None)
+def _pi_squared(bits: int) -> tuple[int, int]:
+    """Integers lo < pi^2 * 4^bits < hi, by pi = 16*atan(1/5) - 4*atan(1/239).
+    Term k of atan(1/x) * 2^bits is taken by nested floor divisions, which give its
+    floor, less than 1 off, up to the first floor of 0, whose alternating tail is below
+    1: n terms are off by less than n + 1, so the bound grows with the terms taken."""
+    total = error = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k = (1 << bits) // x, 0
+        while power:
+            total += weight * (power // (2 * k + 1))
+            power, k, weight = power // (x * x), k + 1, -weight
+        error += abs(weight) * (k + 1)
+    return (total - error) ** 2, (total + error) ** 2
+
+
+def _certain(at):
+    """at(bound, shift) once it is the same at both bounds on pi^2 * 2^shift: ``at``
+    rounds a monotone function of pi^2, so it is the same at pi^2 itself."""
+    bits = 64
+    while (found := [at(bound, 2 * bits) for bound in _pi_squared(bits)])[0] != found[1]:
+        bits *= 2
+    return found[0]
 
 
 @dataclass(frozen=True)
 class VolumeValue:
-    """A volume ``coefficient * pi^2`` with a 12-significant-digit
-    decimal rendering."""
+    """A volume ``coefficient * pi^2`` and its text ``approx``, correctly rounded
+    to max(12, k + 6) significant digits, k those before the point: within
+    5e-7 of the volume, so chi_from_volume reads it back by default."""
 
     coefficient: Fraction
     approx: str
-
-
-def _render(coefficient: Fraction) -> str:
-    try:
-        value = float(coefficient) * math.pi ** 2
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError("chi is too large: its volume (4*pi^2/3)*chi overflows a float")
-    return f"{value:.{_RENDER_DIGITS}g}"
 
 
 def volume_from_chi(chi: int) -> VolumeValue:
@@ -52,55 +72,87 @@ def volume_from_chi(chi: int) -> VolumeValue:
         raise DomainError(f"chi must be >= 1, got {shown(chi)}: finite-volume hyperbolic "
                           "4-manifolds have positive Euler characteristic")
     coefficient = LATTICE_COEFFICIENT * chi
-    return VolumeValue(coefficient=coefficient, approx=_render(coefficient))
+
+    def rounded(bound: int, shift: int):  # (places, digits), or None from 2^1024 on
+        scale, volume = coefficient.denominator << shift, coefficient.numerator * bound
+        if volume >= scale << 1024:
+            return None
+        places = max(12 - len(str(volume // scale)), 6)
+        return places, (2 * 10**places * volume + scale) // (2 * scale)
+
+    if (found := _certain(rounded)) is None:
+        raise DomainError("chi is too large: its volume (4*pi^2/3)*chi overflows a float")
+    places, digits = found
+    text = f"{digits // 10**places}.{digits % 10**places:0{places}}"
+    return VolumeValue(coefficient=coefficient, approx=text.rstrip("0").removesuffix("."))
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a finite float, or DomainError naming ``name``."""
+def real(value, name: str = "value") -> Fraction | float:
+    """``value`` exactly, or as an infinite or nan float: decimal text without "_"
+    and a Decimal digit by digit, an int, float or Fraction as it is, anything else
+    through float().  DomainError naming ``name`` when float() refuses it, and for
+    a decimal of more than sys.get_int_max_str_digits() digits when written out."""
+    if isinstance(value, str) and "_" not in value and (text := Decimal(value, _DECIMAL)).is_finite():
+        value = text  # any other text is left to float(), which reads nan and inf or refuses
+    if isinstance(value, Decimal) and value.is_finite():
+        _, digits, exponent = value.as_tuple()
+        if 0 < sys.get_int_max_str_digits() < max(len(digits), -exponent) + max(exponent, 0):
+            raise DomainError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
+    elif not isinstance(value, (int, Fraction)):
+        try:
+            value = float(value)
+        except Exception:  # float() runs a caller's __float__, which may raise anything
+            raise DomainError(f"{name} must be a real number, got {shown(value)}") from None
+        if not math.isfinite(value):
+            return value
+    value = value if type(value) is Fraction else Fraction(value)
     try:
-        number = float(value)
+        value.numerator / value.denominator  # messages and the JSON echo show it as a float
     except OverflowError:
-        number = math.inf
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {shown(value)}") from None
-    if not math.isfinite(number):
-        raise DomainError(f"{name} must be finite, got {number}")
-    return number
+        return math.inf if value > 0 else -math.inf
+    return value
 
 
-def chi_from_volume(volume, tolerance=1e-6) -> int:
-    """The unique positive integer chi with |volume - (4*pi^2/3)*chi| <=
-    tolerance.
-
-    Raises NoLatticePointError when no integer matches and
-    AmbiguousToleranceError when the tolerance is so large that more than
-    one does.
+def chi_from_volume(volume, tolerance=TOLERANCE) -> int:
+    """The unique positive integer chi, among the nearest lattice point and
+    the two beside it, with |volume - (4*pi^2/3)*chi| <= tolerance, both
+    read by ``real``.  Raises NoLatticePointError when no integer matches
+    and AmbiguousToleranceError when more than one does.
     """
-    vol = _finite("volume", volume)
-    tol = _finite("tolerance", tolerance)
-    if vol <= 0:
-        raise DomainError(f"volume must be positive, got {vol}")
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    spacing = 4 * math.pi**2 / 3
-    center = round(vol / spacing)
-    matches = [
-        n for n in (center - 1, center, center + 1)
-        if n >= 1 and abs(vol - spacing * n) <= tol
-    ]
+    def finite(value, name: str) -> Fraction:
+        if type(number := real(value, name)) is float:
+            raise DomainError(f"{name} must be finite, got {number}")
+        return number
+
+    vol, tol = finite(volume, "volume"), finite(tolerance, "tolerance")
+    for name, number in (("volume", vol), ("tolerance", tol)):
+        if number <= 0:
+            raise DomainError(f"{name} must be positive, got {float(number)}")
+    a, b, t, u = vol.numerator, vol.denominator, tol.numerator, tol.denominator
+
+    def nearest(bound: int, shift: int) -> tuple[int, int, int]:
+        # Scaled by 3 * 2^shift * b * u: round(volume / spacing), and the
+        # least and the greatest chi whose volume lies within the tolerance.
+        spacing, mid, reach = 4 * b * u * bound, 3 * a * u << shift, 3 * t * b << shift
+        return ((2 * mid + spacing) // (2 * spacing), (mid - reach - 1) // spacing + 1,
+                (mid + reach) // spacing)
+
+    center, first, last = _certain(nearest)
+    matches = list(range(max(center - 1, first, 1), min(center + 1, last) + 1))
+    if len(matches) == 1:
+        return matches[0]
+    spacing = volume_from_chi(1).approx
     if not matches:
         raise NoLatticePointError(
-            f"no integer chi with |{vol} - (4*pi^2/3)*chi| <= {tol}; "
+            f"no integer chi with |{float(vol)} - (4*pi^2/3)*chi| <= {float(tol)}; "
             f"hyperbolic 4-manifold volumes lie on the lattice "
-            f"(4*pi^2/3)*chi with spacing {spacing:.12g}"
+            f"(4*pi^2/3)*chi with spacing {spacing}"
         )
-    if len(matches) > 1:
-        raise AmbiguousToleranceError(
-            f"tolerance {tol} admits chi in {matches}; the lattice "
-            f"spacing 4*pi^2/3 = {spacing:.12g} only separates integers "
-            "up to half that"
-        )
-    return matches[0]
+    raise AmbiguousToleranceError(
+        f"tolerance {float(tol)} admits chi in {matches}; the lattice "
+        f"spacing 4*pi^2/3 = {spacing} only separates integers "
+        "up to half that"
+    )
 
 
 def doubled_euler(chi_w: int) -> int:

@@ -54,7 +54,8 @@ class SeifertData:
 
     def __post_init__(self):
         if not isinstance(self.base, BaseSurface):
-            if self.base not in ("S2", "T2"):  # asked first: BaseSurface()'s refusal reprs it
+            # asked first: BaseSurface() reprs a refused value, and a caller's __eq__ may raise
+            if type(self.base) is not str or self.base not in ("S2", "T2"):
                 raise ValidationError(f"base must be 'S2' or 'T2', got {shown(self.base)}")
             object.__setattr__(self, "base", BaseSurface(self.base))
         try:

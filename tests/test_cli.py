@@ -674,6 +674,31 @@ class TestGaussBonnetCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    def test_volume_past_the_float_spacing_is_refused(self):
+        # 9.87e16 lies 6.17 from its nearest lattice point; floats once took it
+        code, out, err = invoke("gauss-bonnet", "--volume", "9.87e16")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no integer chi with |9.87e+16 - (4*pi^2/3)*chi| <= 1e-06;")
+
+    def test_printed_volume_reads_back(self):
+        code, out, _ = invoke("gauss-bonnet", "--chi", "123456789", "--quiet")
+        assert (code, out) == (0, "1624626224.078347\n")
+        assert invoke("gauss-bonnet", "--volume", out.strip(), "--quiet")[:2] == (0, "123456789\n")
+
+    @pytest.mark.parametrize(
+        "volume, code",
+        [  # (4*pi^2/3)*7 + 1e-6 -/+ 1e-30: the default 1e-6 is exact, not a float below it
+            ("92.1163087435006804424552493321764105962611945", 0),
+            ("92.1163087435006804424552493321784105962611945", 2),
+        ],
+    )
+    def test_omitted_tol_decides_like_tol_1e_6(self, volume, code):
+        omitted = invoke("gauss-bonnet", "--volume", volume, "--json")
+        assert omitted == invoke("gauss-bonnet", "--volume", volume, "--tol", "1e-6", "--json")
+        assert omitted[0] == code
+        if code == 0:
+            assert parse_json_output(omitted[1])["tolerance"] == 1e-06
+
     def test_chi_and_volume_conflict(self):
         code, out, err = invoke("gauss-bonnet", "--chi", "1", "--volume", "13.0")
         assert code == 1
@@ -772,6 +797,9 @@ class TestCliContract:
         err = io.StringIO()
         assert run(list(argv), stdout=_closed(), stderr=err) == 1
         assert err.getvalue() == "error: cannot write output: I/O operation on closed file\n"
+        err = io.StringIO()  # a stream without write() fails like a full one
+        assert run(list(argv), stdout=5, stderr=err) == 1
+        assert err.getvalue() == "error: cannot write output: 'int' object has no attribute 'write'\n"
 
     def test_failed_flush_is_reported(self):
         class Unflushable(io.StringIO):
@@ -793,6 +821,8 @@ class TestCliContract:
         assert run(["obstruct", "S2;(2,1)(3,-1)(6,-1)"], stdout=io.StringIO(), stderr=_Full()) == 3
         assert run(["catalog"], stdout=_closed(), stderr=_closed()) == 1
         assert run(["frobnicate"], stdout=io.StringIO(), stderr=_closed()) == 1
+        assert run(["frobnicate"], stdout=io.StringIO(), stderr=5) == 1
+        assert run(["catalog"], stdout=5, stderr=5) == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

@@ -1,13 +1,18 @@
 """Volume <-> Euler characteristic conversion for hyperbolic 4-manifolds."""
 
 import math
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flateta import (
+    LATTICE_COEFFICIENT,
     AmbiguousToleranceError,
     DomainError,
     NoLatticePointError,
@@ -49,6 +54,25 @@ class TestVolumeFromChi:
     def test_float_overflow_is_domain_error(self, chi):
         with pytest.raises(DomainError, match="too large"):
             volume_from_chi(chi)
+
+    def test_twelve_digits_match_the_float_rendering_up_to_3e4(self):
+        # below 10^6 the text has 12 significant digits, as the float rendering had
+        floats = [f"{float(LATTICE_COEFFICIENT * chi) * math.pi**2:.12g}" for chi in range(1, 30001)]
+        assert [volume_from_chi(chi).approx for chi in range(1, 30001)] == floats
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent=st.floats(0, 30))
+    def test_log_uniform_chi_round_trips_up_to_1e30(self, exponent):
+        chi = max(1, round(10**exponent))
+        assert chi_from_volume(volume_from_chi(chi).approx) == chi
+
+    @pytest.mark.parametrize("chi", [1, 7, 10**5 + 7, 10**10 + 7, 10**13 + 7, 10**16, 10**29 + 3])
+    def test_text_is_the_correctly_rounded_volume(self, chi):
+        with mpmath.workdps(80):
+            volume = 4 * chi * mpmath.pi**2 / 3
+            places = max(12 - len(str(int(volume))), 6)
+            expected = mpmath.nstr(volume, len(str(int(volume))) + places, strip_zeros=False)
+        assert volume_from_chi(chi).approx == expected.rstrip("0").rstrip(".")
 
     def test_strictly_increasing(self):
         coefficients = [volume_from_chi(chi).coefficient for chi in range(1, 500)]
@@ -101,6 +125,43 @@ class TestChiFromVolume:
     def test_round_trip_samples(self, chi):
         # full 1..10^4 round trip is an acceptance criterion
         assert chi_from_volume(volume_from_chi(chi).approx, 1e-6) == chi
+
+    def test_volume_past_the_float_spacing_is_refused(self):
+        # a float's ulp at 9.87e16 is 16, wider than the spacing 13.16: the
+        # nearest lattice point lies 6.17 away, which floats once missed
+        with pytest.raises(NoLatticePointError):
+            chi_from_volume(9.87e16)
+
+    @pytest.mark.parametrize("exponent", [40, 3900])
+    @pytest.mark.parametrize("sign, expected", [(1, None), (-1, 7)])
+    def test_decided_exactly_next_to_the_tolerance(self, exponent, sign, expected):
+        # (4*pi^2/3)*7 + 1e-6 +/- 10^-exponent, as text and as a Decimal:
+        # refused just outside the tolerance, 7 just inside
+        with mpmath.workdps(exponent + 60):
+            volume = 4 * 7 * mpmath.pi**2 / 3 + mpmath.mpf(10) ** -6
+            text = mpmath.nstr(volume + sign * mpmath.mpf(10) ** -exponent, exponent + 50)
+        for volume in (text, Decimal(text)):
+            start = time.perf_counter()
+            try:
+                decided = chi_from_volume(volume)
+            except NoLatticePointError:
+                decided = None
+            assert decided == expected
+            assert time.perf_counter() - start < 1
+
+    def test_default_tolerance_is_exactly_1e_6(self):
+        # the float 1e-6 is 4.5e-23 below 10^-6: it refuses what the default takes
+        with mpmath.workdps(60):
+            text = mpmath.nstr(4 * 7 * mpmath.pi**2 / 3 + mpmath.mpf(10) ** -6 - mpmath.mpf(10) ** -30, 50)
+        assert chi_from_volume(text) == chi_from_volume(text, "1e-6") == 7
+        with pytest.raises(NoLatticePointError):
+            chi_from_volume(text, 1e-6)
+
+    @pytest.mark.parametrize("volume", ["1e5000", "1e-5000", "1" * 5000, Decimal("1e-999999999")])
+    def test_decimal_past_the_digit_limit_is_refused(self, volume):
+        # the default limit is 4300 digits; the refusal bounds the work on the text
+        with pytest.raises(DomainError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            chi_from_volume(volume)
 
 
 class TestDoubledEuler:

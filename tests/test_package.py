@@ -151,10 +151,21 @@ class _BrokenRepr:
         raise RuntimeError("no repr")
 
 
+class _RaisingOperators:
+    """A value whose == and float() raise (and so has no hash)."""
+
+    def __eq__(self, other):
+        raise RuntimeError("no ==")
+
+    def __float__(self):
+        raise RuntimeError("no float")
+
+
 # One digit past the int-to-str limit in force (1 when there is no limit).
 LONG = 10 ** sys.get_int_max_str_digits()
 HOSTILE_VALUES = {
     "broken_repr": _BrokenRepr(),
+    "raising_operators": _RaisingOperators(),
     "long": LONG,
     "long_negative": -LONG,
     "list_of_long": [LONG],
