@@ -22,6 +22,7 @@ from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, s
 LATTICE_COEFFICIENT = Fraction(4, 3)
 TOLERANCE = Fraction(1, 10**6)  # the default of chi_from_volume and of --tol
 _DECIMAL = Context(traps=[])  # reads decimal text exactly and other text as NaN
+_INFINITE = 2**1024 - 2**970  # the least value that rounds to an infinite float
 
 
 @lru_cache(maxsize=None)
@@ -106,9 +107,7 @@ def real(value, name: str = "value") -> Fraction | float:
         if not math.isfinite(value):
             return value
     value = value if type(value) is Fraction else Fraction(value)
-    try:
-        value.numerator / value.denominator  # messages and the JSON echo show it as a float
-    except OverflowError:
+    if abs(value.numerator) >= _INFINITE * value.denominator:  # messages and the JSON echo show a float
         return math.inf if value > 0 else -math.inf
     return value
 
