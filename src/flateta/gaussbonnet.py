@@ -74,9 +74,9 @@ def volume_from_chi(chi: int) -> VolumeValue:
                           "4-manifolds have positive Euler characteristic")
     coefficient = LATTICE_COEFFICIENT * chi
 
-    def rounded(bound: int, shift: int):  # (places, digits), or None from 2^1024 on
+    def rounded(bound: int, shift: int):  # (places, digits), or None where a float is infinite
         scale, volume = coefficient.denominator << shift, coefficient.numerator * bound
-        if volume >= scale << 1024:
+        if volume >= _INFINITE * scale:
             return None
         places = max(12 - len(str(volume // scale)), 6)
         return places, (2 * 10**places * volume + scale) // (2 * scale)

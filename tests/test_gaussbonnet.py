@@ -74,6 +74,16 @@ class TestVolumeFromChi:
             expected = mpmath.nstr(volume, len(str(int(volume))) + places, strip_zeros=False)
         assert volume_from_chi(chi).approx == expected.rstrip("0").rstrip(".")
 
+    def test_largest_printable_chi_reads_back(self):
+        # the cap is where a float of the volume would be infinite, so the
+        # largest volume printed still reads back and the next chi is refused
+        with mpmath.workdps(400):
+            limit = mpmath.mpf(2) ** 1024 - mpmath.mpf(2) ** 970
+            largest = int(mpmath.floor(limit * 3 / (4 * mpmath.pi**2)))
+        assert chi_from_volume(volume_from_chi(largest).approx) == largest
+        with pytest.raises(DomainError, match="too large"):
+            volume_from_chi(largest + 1)
+
     def test_strictly_increasing(self):
         coefficients = [volume_from_chi(chi).coefficient for chi in range(1, 500)]
         assert all(a < b for a, b in zip(coefficients, coefficients[1:]))
