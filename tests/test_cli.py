@@ -675,7 +675,7 @@ class TestGaussBonnetCommand:
         assert len(err.splitlines()) == 1
 
     def test_volume_past_the_float_spacing_is_refused(self):
-        # 9.87e16 lies 6.17 from its nearest lattice point; floats once took it
+        # a float's ulp there (16) exceeds the spacing; the nearest lattice point is 6.17 away
         code, out, err = invoke("gauss-bonnet", "--volume", "9.87e16")
         assert (code, out) == (2, "")
         assert err.startswith("error: no integer chi with |9.87e+16 - (4*pi^2/3)*chi| <= 1e-06;")

@@ -137,8 +137,8 @@ class TestChiFromVolume:
         assert chi_from_volume(volume_from_chi(chi).approx, 1e-6) == chi
 
     def test_volume_past_the_float_spacing_is_refused(self):
-        # a float's ulp at 9.87e16 is 16, wider than the spacing 13.16: the
-        # nearest lattice point lies 6.17 away, which floats once missed
+        # a float's ulp at 9.87e16 is 16, wider than the spacing 13.16, and
+        # the nearest lattice point lies 6.17 away
         with pytest.raises(NoLatticePointError):
             chi_from_volume(9.87e16)
 
