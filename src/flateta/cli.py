@@ -168,11 +168,8 @@ def _cmd_gauss_bonnet(args) -> _Result:
             lambda: [f"volume = {value.coefficient}*pi^2 = {value.approx}"],
         )
     chi = chi_from_volume(args.volume, args.tol)
-    return _Result(
-        lambda: {"volume": float(args.volume), "tolerance": float(args.tol), "chi": chi},
-        lambda: [str(chi)],
-        lambda: [f"chi = {chi}"],
-    )
+    return _Result(lambda: {"volume": float(args.volume), "tolerance": float(args.tol), "chi": chi},
+                   lambda: [str(chi)], lambda: [f"chi = {chi}"])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def _parse(argv) -> SimpleNamespace:
         text = given.get(a.name)
         try:
             setattr(args, a.name.lstrip("-"), a.default if text is None else a.convert(text))
-        except ValueError:  # DomainError too: real(), as int(), refuses text past the digit limit
+        except ValueError:
             raise UsageError(f"{a.name}: invalid {'int' if a.convert is int else 'float'} value: "
                              f"{shown(text)}") from None
     return args

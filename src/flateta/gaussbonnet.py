@@ -1,10 +1,8 @@
 """Volume <-> Euler characteristic for finite-volume hyperbolic 4-manifolds.
 
-In dimension four, Vol(M) = (4*pi^2/3) * chi(M), so volumes form the
-lattice of positive integer multiples of 4*pi^2/3.  Volumes are carried
-exactly as a rational coefficient of pi^2, and every verdict and rendered
-digit is worked out on integers at both of ``_pi_squared``'s bounds: pi^2
-is irrational, so doubling the precision makes the two answers agree.
+In dimension four, Vol(M) = (4*pi^2/3) * chi(M), so volumes form the lattice
+of positive integer multiples of 4*pi^2/3, carried exactly as a rational
+coefficient of pi^2; every verdict and rendered digit is worked out on integers.
 """
 
 from __future__ import annotations
@@ -18,10 +16,9 @@ from functools import lru_cache
 
 from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, shown
 
-# Lattice spacing: one unit of Euler characteristic is (4/3)*pi^2 of volume.
-LATTICE_COEFFICIENT = Fraction(4, 3)
+LATTICE_COEFFICIENT = Fraction(4, 3)  # one unit of Euler characteristic is (4/3)*pi^2 of volume
 TOLERANCE = Fraction(1, 10**6)  # the default of chi_from_volume and of --tol
-_DECIMAL = Context(traps=[])  # reads decimal text exactly and other text as NaN
+_DECIMAL = Context(traps=[])  # reads decimal text exactly, and an exponent past its range as NaN
 _INFINITE = 2**1024 - 2**970  # the least value that rounds to an infinite float
 
 
@@ -89,23 +86,24 @@ def volume_from_chi(chi: int) -> VolumeValue:
 
 
 def real(value, name: str = "value") -> Fraction | float:
-    """``value`` exactly, or as an infinite or nan float: decimal text without "_"
-    and a Decimal digit by digit, an int, float or Fraction as it is, anything else
-    through float().  DomainError naming ``name`` when float() refuses it, and for
-    a decimal of more than sys.get_int_max_str_digits() digits when written out."""
-    if isinstance(value, str) and "_" not in value and (text := Decimal(value, _DECIMAL)).is_finite():
-        value = text  # any other text is left to float(), which reads nan and inf or refuses
-    if isinstance(value, Decimal) and value.is_finite():
+    """``value`` exactly, or as an infinite or nan float: text float() reads and a Decimal
+    digit by digit, an int, float or Fraction as it is, anything else through float().
+    DomainError naming ``name`` when float() refuses it, and for a decimal of more than
+    sys.get_int_max_str_digits() digits written out (4300 with the limit off)."""
+    try:
+        if not isinstance(value, (int, Fraction)):
+            number = float(value)  # refuses text with a misplaced "_", which Decimal() drops
+            exact = Decimal(value, _DECIMAL) if isinstance(value, (str, Decimal)) else None
+            value = exact if exact is not None and exact.is_finite() else number
+    except Exception:  # float() runs a caller's __float__, which may raise anything
+        raise DomainError(f"{name} must be a real number, got {shown(value)}") from None
+    if type(value) is float and not math.isfinite(value):
+        return value
+    if isinstance(value, Decimal):
         _, digits, exponent = value.as_tuple()
-        if 0 < sys.get_int_max_str_digits() < max(len(digits), -exponent) + max(exponent, 0):
-            raise DomainError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
-    elif not isinstance(value, (int, Fraction)):
-        try:
-            value = float(value)
-        except Exception:  # float() runs a caller's __float__, which may raise anything
-            raise DomainError(f"{name} must be a real number, got {shown(value)}") from None
-        if not math.isfinite(value):
-            return value
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if limit < max(len(digits), -exponent) + max(exponent, 0):
+            raise DomainError(f"{name} has more than {limit} digits")
     value = value if type(value) is Fraction else Fraction(value)
     if abs(value.numerator) >= _INFINITE * value.denominator:  # messages and the JSON echo show a float
         return math.inf if value > 0 else -math.inf
@@ -116,25 +114,18 @@ def chi_from_volume(volume, tolerance=TOLERANCE) -> int:
     """The unique positive integer chi, among the nearest lattice point and
     the two beside it, with |volume - (4*pi^2/3)*chi| <= tolerance, both
     read by ``real``.  Raises NoLatticePointError when no integer matches
-    and AmbiguousToleranceError when more than one does.
-    """
-    def finite(value, name: str) -> Fraction:
-        if type(number := real(value, name)) is float:
-            raise DomainError(f"{name} must be finite, got {number}")
-        return number
-
-    vol, tol = finite(volume, "volume"), finite(tolerance, "tolerance")
-    for name, number in (("volume", vol), ("tolerance", tol)):
-        if number <= 0:
-            raise DomainError(f"{name} must be positive, got {float(number)}")
+    and AmbiguousToleranceError when more than one does."""
+    vol, tol = real(volume, "volume"), real(tolerance, "tolerance")
+    for rule, refused in (("finite", lambda n: type(n) is float), ("positive", lambda n: n <= 0)):
+        for name, number in (("volume", vol), ("tolerance", tol)):
+            if refused(number):
+                raise DomainError(f"{name} must be {rule}, got {float(number)}")
     a, b, t, u = vol.numerator, vol.denominator, tol.numerator, tol.denominator
 
     def nearest(bound: int, shift: int) -> tuple[int, int, int]:
-        # Scaled by 3 * 2^shift * b * u: round(volume / spacing), and the
-        # least and the greatest chi whose volume lies within the tolerance.
+        # all scaled by 3 * 2^shift * b * u: the nearest chi, and the least and greatest within tol
         spacing, mid, reach = 4 * b * u * bound, 3 * a * u << shift, 3 * t * b << shift
-        return ((2 * mid + spacing) // (2 * spacing), (mid - reach - 1) // spacing + 1,
-                (mid + reach) // spacing)
+        return (2 * mid + spacing) // (2 * spacing), -((reach - mid) // spacing), (mid + reach) // spacing
 
     center, first, last = _certain(nearest)
     matches = list(range(max(center - 1, first, 1), min(center + 1, last) + 1))
@@ -142,16 +133,11 @@ def chi_from_volume(volume, tolerance=TOLERANCE) -> int:
         return matches[0]
     spacing = volume_from_chi(1).approx
     if not matches:
-        raise NoLatticePointError(
-            f"no integer chi with |{float(vol)} - (4*pi^2/3)*chi| <= {float(tol)}; "
-            f"hyperbolic 4-manifold volumes lie on the lattice "
-            f"(4*pi^2/3)*chi with spacing {spacing}"
-        )
-    raise AmbiguousToleranceError(
-        f"tolerance {float(tol)} admits chi in {matches}; the lattice "
-        f"spacing 4*pi^2/3 = {spacing} only separates integers "
-        "up to half that"
-    )
+        raise NoLatticePointError(f"no integer chi with |{float(vol)} - (4*pi^2/3)*chi| <= {float(tol)}; "
+                                  "hyperbolic 4-manifold volumes lie on the lattice (4*pi^2/3)*chi "
+                                  f"with spacing {spacing}")
+    raise AmbiguousToleranceError(f"tolerance {float(tol)} admits chi in {matches}; the lattice spacing "
+                                  f"4*pi^2/3 = {spacing} only separates integers up to half that")
 
 
 def doubled_euler(chi_w: int) -> int:

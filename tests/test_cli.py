@@ -685,6 +685,20 @@ class TestGaussBonnetCommand:
         assert (code, out) == (0, "1624626224.078347\n")
         assert invoke("gauss-bonnet", "--volume", out.strip(), "--quiet")[:2] == (0, "123456789\n")
 
+    def test_grouped_volume_is_read_exactly(self):
+        # a float's ulp there (256) exceeds the spacing, so only the exact digits read back
+        code, out, _ = invoke("gauss-bonnet", "--chi", str(10**17), "--quiet")
+        whole, point, fraction = out.strip().partition(".")
+        grouped = f"{int(whole):_}{point}{'_'.join(fraction[i:i + 3] for i in range(0, len(fraction), 3))}"
+        assert (code, "_" in grouped) == (0, True)
+        assert invoke("gauss-bonnet", "--volume", grouped, "--quiet")[:2] == (0, f"{10**17}\n")
+
+    @pytest.mark.parametrize("volume", ["13__1594725348", "_13.1594725348", "13.1594725348_", "13._1594725348"])
+    def test_misplaced_group_separator_is_a_usage_error(self, volume):
+        code, out, err = invoke("gauss-bonnet", "--volume", volume)
+        assert (code, out) == (1, "")
+        assert err == f"error: --volume: invalid float value: '{volume}'\n"
+
     @pytest.mark.parametrize(
         "volume, code",
         [  # (4*pi^2/3)*7 + 1e-6 -/+ 1e-30: the default 1e-6 is exact, not a float below it

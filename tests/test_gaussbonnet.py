@@ -168,10 +168,17 @@ class TestChiFromVolume:
             chi_from_volume(text, 1e-6)
 
     @pytest.mark.parametrize("volume", ["1e5000", "1e-5000", "1" * 5000, Decimal("1e-999999999")])
-    def test_decimal_past_the_digit_limit_is_refused(self, volume):
-        # the default limit is 4300 digits; the refusal bounds the work on the text
-        with pytest.raises(DomainError, match=f"more than {sys.get_int_max_str_digits()} digits"):
-            chi_from_volume(volume)
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_decimal_past_the_digit_limit_is_refused(self, volume, limit):
+        # the default limit is 4300 digits; the refusal bounds the work on the text, which
+        # grows with the exponent, so it holds with the limit off too
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(before if limit is None else limit)
+        try:
+            with pytest.raises(DomainError, match=f"more than {before or sys.int_info.default_max_str_digits} digits"):
+                chi_from_volume(volume)
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestDoubledEuler:
