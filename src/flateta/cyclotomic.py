@@ -14,9 +14,9 @@ Nothing in this module rounds, and there is no field arithmetic on
 elements: ``cot_exact`` returns cot(k*pi/n) as a frozen value that
 compares within one order, promotes to a larger field or reads as
 coefficients, and that is all.  The one consumer of the arithmetic is
-:mod:`flateta.dedekind`, which sums products of exact cotangents on the
-integers underneath with a packed convolution of its own.  This module
-gives it two things:
+:mod:`flateta.dedekind`, which sums products of cotangent rows
+(below) on the integers underneath with a packed convolution of its
+own.  This module gives it two things:
 
 * **Sparse reduction.**  ``_reduce_int_mod_phi`` divides by two sparse
   multiples of Phi_N before dividing by Phi_N itself, so its remainder is
@@ -32,16 +32,12 @@ gives it two things:
   the cut n - L and those terms once per field, in the module's one
   cache; Phi_N itself is built from two-term factors x^d - 1, multiplied
   out and divided exactly.
-* **Half-length integer cotangents.**  A cotangent lives in Q(zeta_M),
-  M = lcm(4, 2n), so 4 | M and Phi_M(x) = Phi_(M/2)(x^2).  And
-  cot(r*pi/n) = i*(w + 1)/(w - 1) with w an even power of zeta_M and
-  i = zeta_M^(M/4): it is zeta_M^(M/4 mod 2) times a polynomial in
-  y = zeta_M^2, and its remainder mod Phi_M is zero at every exponent of
-  the other parity.  ``_cot_half`` builds only the entries of that
-  parity, at most deg(Phi_M)/2 of them, as an integer remainder mod
-  Phi_(M/2) in y plus its denominator m, without a cache; ``cot_exact``
-  spreads them back onto the power basis of Q(zeta_M), which needs no
-  second reduction.
+* **Integer cotangent rows.**  cot(r*pi/n) = i*X with
+  X = (w + 1)/(w - 1), w = zeta_n^r, and X lies in Q(zeta_n).  ``_coth``
+  builds m*X, m the order of w, as an integer remainder mod Phi_n,
+  without a cache; the Dedekind route's table is made of these rows.
+  ``cot_exact`` spreads the row onto Q(zeta_M), M = lcm(4, 2n), shifts it
+  by M/4 (i = zeta_M^(M/4)) and reduces it mod Phi_M.
 """
 
 from __future__ import annotations
@@ -56,7 +52,8 @@ from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
 # is allocated.  It is 4 * dedekind.COT_ALPHA_MAX: the Dedekind route works
-# in Q(zeta_M), M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999).
+# in Q(zeta_alpha), but ``cot_exact`` and ``promoted`` reach Q(zeta_M),
+# M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999).
 FIELD_ORDER_MAX = 4000
 
 
@@ -248,8 +245,8 @@ def _element(order: int, rem, den: int) -> CyclotomicElement:
 def cot_exact(k: int, n: int) -> CyclotomicElement:
     """cot(k*pi/n) as an exact element of Q(zeta_M), M = lcm(4, 2n).
 
-    Writes cot(theta) = i*(e^(i*theta) + e^(-i*theta)) / (e^(i*theta) -
-    e^(-i*theta)) with e^(i*pi/n) = zeta_M^(M/(2n)) and i = zeta_M^(M/4).
+    Writes cot(k*pi/n) = i*(w + 1)/(w - 1) with w = zeta_n^k = zeta_M^(k*M/n)
+    and i = zeta_M^(M/4).
 
     >>> cot_exact(1, 4)
     CyclotomicElement(order=1, numerator=(1,), denominator=1)
@@ -262,39 +259,29 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise PoleError(f"cot({shown(k)}*pi/{shown(n)}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
-    parity, half, m = _cot_half(k % n, n)
-    full = [0] * (2 * len(half))
-    full[parity::2] = half
-    return _element(order, full, m)
+    rem, m = _coth(k % n, n)
+    # zeta_n^j = zeta_M^(j*step), and multiplying by i shifts by M/4
+    step, quarter = order // n, order // 4
+    spread = [0] * (quarter + step * len(rem))
+    spread[quarter::step] = rem
+    return _element(order, _reduce_int_mod_phi(spread, order), m)
 
 
-def _cot_half(r: int, n: int) -> tuple[int, list[int], int]:
-    """cot(r*pi/n) for r not a multiple of n, M = lcm(4, 2n), as the
-    triple (parity, half, m) with
-
-        m * cot(r*pi/n) = sum_j half[j] * zeta_M^(2j + parity),
-
-    parity = M/4 mod 2 and half the trimmed remainder mod Phi_(M/2) of a
-    polynomial in y = zeta_M^2 = zeta_(M/2), empty for cot(pi/2) = 0;
-    spread onto the exponents of that parity, it is the remainder mod Phi_M.
+def _coth(r: int, n: int) -> tuple[list[int], int]:
+    """m*(w + 1)/(w - 1) for w = zeta_n^r of order m, r not a multiple of n,
+    as (rem, m): rem the trimmed integer remainder mod Phi_n, empty at w = -1.
     """
-    # With w = e^(2i*r*pi/n) = zeta_M^t, a primitive m-th root of unity,
-    #   cot(r*pi/n) = i*(w + 1)/(w - 1)  and  1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
-    # so m*cot = i*((m - 1) + sum_{j=1}^{m-1} (2j - 1)*w^j), with i = zeta_M^(M/4);
-    # this avoids a polynomial gcd per cotangent.  t is even (M/n is 2 or
-    # 4), so w = y^(t/2) and i = zeta_M^parity * y^(M/4 // 2).
-    order = lcm(4, 2 * n)
-    t = (r * (order // n)) % order
-    m = order // gcd(order, t)
-    # y^(M/4) = -1 folds every exponent below M/4 before the division.
-    quarter, period, step = order // 4, order // 2, t // 2
-    vec = [0] * quarter
-    e = quarter // 2
-    vec[e] = m - 1
+    # 1/(w - 1) = (1/m) * sum_{j<m} j*w^j makes it (m - 1) + sum_{j=1}^{m-1}
+    # (2j - 1)*w^j, with no polynomial gcd per row.  For even n,
+    # zeta_n^(n/2) = -1 folds every exponent below n/2 before the division.
+    m = n // gcd(n, r)
+    size = n // 2 if n % 2 == 0 else n
+    vec = [0] * size
+    vec[0] = m - 1
     for j in range(1, m):
-        e = (e + step) % period
-        if e < quarter:
+        e = j * r % n
+        if e < size:
             vec[e] += 2 * j - 1
         else:
-            vec[e - quarter] -= 2 * j - 1
-    return quarter % 2, _reduce_int_mod_phi(vec, period), m
+            vec[e - size] -= 2 * j - 1
+    return _reduce_int_mod_phi(vec, n), m

@@ -16,29 +16,28 @@ the alpha - 1 products as integers over one denominator 4*alpha^2, and
 tests pin it to the sum of ``sawtooth`` products itself; it is refused
 above ``SAWTOOTH_ALPHA_MAX``.
 
-The cotangent route runs on integers.  Each cotangent in Q(zeta_M),
-M = lcm(4, 2*alpha), is zeta_M^parity, parity = M/4 mod 2, times a half
-row: integers in y = zeta_M^2, reduced mod Phi_(M/2) by
-:mod:`flateta.cyclotomic`.  ``_cot_table`` builds the half rows of
-cot(k*pi/alpha) for k <= alpha/2, each over its own denominator m, and
-packs them in one pass, each padded to the longest row's ``slots``, into
-one int ``sum v[i] * 2^(bits*i)`` (Kronecker substitution), so a
-polynomial product is one big-int multiplication.  Packing is linear, so
-it then scales each row to the least common denominator L/g, L = lcm(m),
-g = gcd(L, (L/m) * gcd(row) over the rows): times L/m, then divided by
-g, exactly, as g divides every coefficient.  The slot width is exact:
-with D the largest |coefficient|, a coefficient of the sum in
-``_cot_sum`` adds at most alpha/2 pairs of rows times ``slots``
-products, so it is at most (alpha//2 + 1) * slots * D^2 in absolute
-value; with that bound and every unscaled coefficient below
-2^(bits-1), each slot holds its balanced digit in (-2^(bits-1),
-2^(bits-1)) without carrying, and anything left above the top slot is
-an internal error.  So is a width past 64 bits, the packer's 8-byte
-entries: no alpha up to ``COT_ALPHA_MAX`` needs more (at most 56 bits,
-first at alpha = 595).  The sum is unpacked once, multiplied by y when
-parity is 1 (zeta_M^parity squared), reduced mod Phi_(M/2) and
-certified rational before it is returned; its constant term is that of
-the sum in Q(zeta_M).  The route is refused above ``COT_ALPHA_MAX``.
+The cotangent route runs on integers in Q(zeta_alpha): with
+X_k = (zeta_alpha^k + 1)/(zeta_alpha^k - 1), cot(k*pi/alpha) = i*X_k, so
+each term is -X_(k*beta) * X_k.  ``_cot_table`` builds the rows m*X_k
+for k <= alpha/2, m the order of zeta_alpha^k, as integers reduced mod
+Phi_alpha by :mod:`flateta.cyclotomic`, and packs them in one pass, each
+padded to the longest row's ``slots``, into one int
+``sum v[i] * 2^(bits*i)`` (Kronecker substitution), so a polynomial
+product is one big-int multiplication.  Packing is linear, so it then
+scales each row to the least common denominator alpha/g (every m
+divides alpha, and m = alpha at k = 1), g = gcd(alpha, (alpha/m) *
+gcd(row) over the rows): times alpha/m, then divided by g, exactly, as
+g divides every coefficient.  The slot width is exact: with D the
+largest |coefficient|, a coefficient of the sum in ``_cot_sum`` adds at
+most alpha/2 pairs of rows times ``slots`` products, so it is at most
+(alpha//2 + 1) * slots * D^2 in absolute value; with that bound and
+every unscaled coefficient below 2^(bits-1), each slot holds its
+balanced digit in (-2^(bits-1), 2^(bits-1)) without carrying, and
+anything left above the top slot is an internal error.  So is a width
+past 64 bits, the packer's 8-byte entries: no alpha up to
+``COT_ALPHA_MAX`` needs more (at most 56 bits, first at alpha = 595).
+The sum is unpacked once, reduced mod Phi_alpha and certified rational
+before it is returned.  The route is refused above ``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .cyclotomic import FIELD_ORDER_MAX, _cot_half, _reduce_int_mod_phi
+from .cyclotomic import FIELD_ORDER_MAX, _coth, _reduce_int_mod_phi
 from .errors import DomainError, shown
 
 _FLIP = bytes(b ^ 128 for b in range(256))  # translate: each byte with its top bit flipped
@@ -81,8 +80,8 @@ def _check_pair(beta: int, alpha: int) -> None:
 
 
 # Largest alpha the cotangent route accepts, 1000, so that its fields stay
-# within the cyclotomic module's ceiling.  Its cost follows deg Phi_M,
-# which peaks at prime alpha (deg = 2*(alpha - 1)): a cold alpha = 997 takes
+# within the cyclotomic module's ceiling.  Its cost follows deg Phi_alpha,
+# which peaks at prime alpha (deg = alpha - 1): a cold alpha = 997 takes
 # about 0.5 s, most of it the first convolution (README has the table).
 COT_ALPHA_MAX = FIELD_ORDER_MAX // 4
 
@@ -184,16 +183,13 @@ def _unpack(packed: int, slots: int, bits: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    parity, den, bits, slots, rows = _cot_table(alpha)
+    den, bits, slots, rows = _cot_table(alpha)
     # Pair k with alpha-k: equal terms, so sum halves and doubles at the
     # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
     packed = 0
     for k in range(1, (alpha + 1) // 2):
         packed += rows[k * beta % alpha] * rows[k]
-    product = _unpack(packed, 2 * slots - 1, bits)
-    if parity:
-        product.insert(0, 0)
-    rem = _reduce_int_mod_phi(product, lcm(2, alpha))  # M/2
+    rem = _reduce_int_mod_phi(_unpack(packed, 2 * slots - 1, bits), alpha)
     # The sum is rational exactly when nothing past the constant term is
     # left (the power basis is a Q-basis); certify that before returning.
     constant, *rest = rem or [0]
@@ -202,31 +198,30 @@ def _cot_sum(beta: int, alpha: int) -> Fraction:
             "internal error: cotangent Dedekind sum failed rationality "
             f"certification for ({beta}, {alpha})"
         )
-    return Fraction(2 * constant, den * den * 4 * alpha)
+    # cot * cot = (i*X) * (i*X') = -X * X'
+    return Fraction(-2 * constant, den * den * 4 * alpha)
 
 
 @lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, int, int, tuple[int, ...]]:
-    """cot(k*pi/alpha), k = 1..alpha-1, in Q(zeta_M), M = lcm(4, 2*alpha),
-    as packed half rows over their least common denominator, packed first
-    and scaled after (see the module docstring for both and the slot width).
+def _cot_table(alpha: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """X_k = (zeta_alpha^k + 1)/(zeta_alpha^k - 1), k = 1..alpha-1, as
+    packed rows over their least common denominator, packed first and
+    scaled after (see the module docstring for both and the slot width).
 
-    Returns (parity, denominator, slot bits, slots, rows) with rows
-    1-indexed and slots the length of the longest half row, at least 1
-    (alpha = 2's one row, cot(pi/2) = 0, is empty).
+    Returns (denominator, slot bits, slots, rows) with rows 1-indexed and
+    slots the length of the longest row, at least 1 (alpha = 2's one row,
+    X_1 = 0, is empty).
     """
-    # cot(pi - x) = -cot(x): compute k <= alpha/2, negate the packed rest.
-    cots = [_cot_half(k, alpha) for k in range(1, alpha // 2 + 1)]
-    parity = cots[0][0]  # M/4 mod 2, the same for every row
-    slots = max(1, *(len(half) for _, half, _ in cots))
-    den = lcm(*(m for _, _, m in cots))
-    scales = [den // m for _, _, m in cots]
-    g = gcd(den, *(scale * gcd(*half) for scale, (_, half, _) in zip(scales, cots)))
-    peaks = [max(max(half, default=0), -min(half, default=0)) for _, half, _ in cots]
+    # X_(alpha-k) = -X_k: compute k <= alpha/2, negate the packed rest.
+    xs = [_coth(k, alpha) for k in range(1, alpha // 2 + 1)]
+    slots = max(1, *(len(row) for row, _ in xs))
+    scales = [alpha // m for _, m in xs]
+    g = gcd(alpha, *(scale * gcd(*row) for scale, (row, _) in zip(scales, xs)))
+    peaks = [max(max(row, default=0), -min(row, default=0)) for row, _ in xs]
     top = max(peak * scale // g for peak, scale in zip(peaks, scales))
     bits = _slot_bits(max((alpha // 2 + 1) * slots * top * top, *peaks))
     if bits > 64:
         raise RuntimeError(f"internal error: the table of alpha = {alpha} needs {bits}-bit slots")
-    packed = _pack_rows([half for _, half, _ in cots], slots, bits)
+    packed = _pack_rows([row for row, _ in xs], slots, bits)
     rows = [row * scale // g for row, scale in zip(packed, scales)]  # exact: see module docstring
-    return parity, den // g, bits, slots, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    return alpha // g, bits, slots, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))

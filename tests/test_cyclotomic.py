@@ -86,10 +86,12 @@ def _long_division(vec, order):
 
 
 class TestReduction:
-    # odd orders (promoted reaches them), powers of two (no odd prime to
-    # tile with), 2 * prime (one-entry tiles) and the Dedekind route's fields
+    # powers of two (no odd prime to tile with), 2 * prime (one-entry
+    # tiles), the Dedekind route's fields Q(zeta_alpha), odd ones among them
+    # (945 has three odd primes, so long division runs), and cot_exact's
     @pytest.mark.parametrize(
-        "order", [*range(1, 601), 960, 1155, 1994, 1998, 2000, 2310, 3996, 4000]
+        "order",
+        [*range(1, 601), 945, 960, 997, 999, 1155, 1994, 1998, 2000, 2310, 3996, 4000],
     )
     def test_matches_long_division(self, order):
         rng = random.Random(order)
@@ -234,7 +236,7 @@ class TestCotExact:
     @settings(max_examples=200, deadline=None)
     def test_nonzero_entries_share_the_parity_of_a_quarter_order(self, n, k):
         # Phi_M(x) = Phi_(M/2)(x^2) and cot = zeta_M^(M/4) * (polynomial in
-        # zeta_M^2): what the Dedekind route's half rows rely on
+        # zeta_M^2), as M/n is even
         assume(k % n)
         elem = cot_exact(k, n)
         assume(elem.order > 1)

@@ -1,7 +1,7 @@
 """Dedekind sums: sawtooth oracle, cotangent path, and their identities."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from flateta import (
     dedekind_sawtooth,
     sawtooth,
 )
+from flateta.cyclotomic import _reduce_int_mod_phi
 from flateta.dedekind import COT_ALPHA_MAX, SAWTOOTH_ALPHA_MAX, _cot_table, _unpack
 
 
@@ -155,27 +156,30 @@ class TestCotangentSum:
 
 @pytest.mark.parametrize("alpha", [*range(2, 121), 997, 998, 999, 1000])
 def test_packed_table_rows_are_scaled_cotangents(alpha):
-    # every row, the negated back half included, read back and spread by
-    # parity onto the power basis of Q(zeta_M), is den * cot(k*pi/alpha)
-    parity, den, bits, slots, rows = _cot_table(alpha)
+    # every row, the negated back half included, read back, spread onto
+    # Q(zeta_M) with step M/alpha, shifted by M/4 (times i) and reduced mod
+    # Phi_M, is den * cot(k*pi/alpha)
+    den, bits, slots, rows = _cot_table(alpha)
+    order = lcm(4, 2 * alpha)
+    step, quarter = order // alpha, order // 4
     for k in range(1, alpha):
-        row = [0] * (2 * slots)
-        row[parity::2] = _unpack(rows[k], slots, bits)
+        spread = [0] * (quarter + step * slots)
+        spread[quarter::step] = _unpack(rows[k], slots, bits)
         value = cot_exact(k, alpha)
         assert den % value.denominator == 0
         expected = [c * (den // value.denominator) for c in value.numerator]
-        assert row == expected + [0] * (2 * slots - len(expected)), k
+        assert _reduce_int_mod_phi(spread, order) == expected, k
 
 
 @pytest.mark.parametrize("alpha, den, bits", [(200, 5, 24), (180, 15, 32)])
 def test_table_is_over_its_least_common_denominator(alpha, den, bits):
-    # lcm(m) is 200 and 180, which would need 32- and 40-bit slots
-    assert _cot_table(alpha)[1:3] == (den, bits)
+    # alpha itself, 200 and 180, would need 32- and 40-bit slots
+    assert _cot_table(alpha)[:2] == (den, bits)
 
 
 @pytest.mark.parametrize("alpha", range(2, 61))
 def test_table_denominator_is_in_lowest_terms(alpha):
-    _, den, bits, slots, rows = _cot_table(alpha)
+    den, bits, slots, rows = _cot_table(alpha)
     entries = [c for row in rows[1:] for c in _unpack(row, slots, bits)]
     assert gcd(den, *entries) == 1
 
@@ -197,27 +201,29 @@ def test_table_past_64_bit_slots_is_an_internal_error(monkeypatch):
 
 
 def test_widest_table_is_56_bits():
-    # alpha = 595 is the first of the 20 alphas <= COT_ALPHA_MAX whose
-    # table needs 56-bit slots, the widest any needs; its longest half row
-    # fills deg Phi_1190 = 384 slots.  Each sum there takes about 0.1 s,
+    # alpha = 595 is the first of the 21 alphas <= COT_ALPHA_MAX whose
+    # table needs 56-bit slots, the widest any needs; its longest row
+    # fills deg Phi_595 = 384 slots.  Each sum there takes about 0.1 s,
     # so a sample of its 384 residues is checked.
-    _, _, bits, slots, _ = _cot_table(595)
+    _, bits, slots, _ = _cot_table(595)
     assert (bits, slots) == (56, 384)
     for beta in (1, 2, 3, 4, 297, 298, 593, 594):
         assert dedekind_cot(beta, 595) == dedekind_sawtooth(beta, 595), beta
 
 
 def test_field_set_up_is_shared_with_cot_exact():
-    # a table builds Q(zeta_(M/2))'s reduction once; cot_exact in the same
-    # field reuses it instead of working it out again
+    # a table builds Q(zeta_alpha)'s reduction once; cot_exact in the same
+    # alpha reuses it and adds Q(zeta_M)'s, M = lcm(4, 2*alpha), once
     dedekind._cot_sum.cache_clear()
     dedekind._cot_table.cache_clear()
     cyclotomic._reduction.cache_clear()
     dedekind_cot(1, 60)
     misses = cyclotomic._reduction.cache_info().misses
-    for k in range(1, 60):
+    cot_exact(1, 60)
+    assert cyclotomic._reduction.cache_info().misses == misses + 1
+    for k in range(2, 60):
         cot_exact(k, 60)
-    assert cyclotomic._reduction.cache_info().misses == misses
+    assert cyclotomic._reduction.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ def main() -> int:
     widths, refused = {}, {}
     for alpha in range(2, COT_ALPHA_MAX + 1):
         try:
-            widths[alpha] = _cot_table(alpha)[2]
+            widths[alpha] = _cot_table(alpha)[1]
         except RuntimeError as exc:
             refused[alpha] = str(exc)
         _cot_table.cache_clear()  # one table in memory at a time
