@@ -9,48 +9,54 @@ and ``dedekind_cot`` is the cotangent form
     s(beta, alpha) = (1/(4*alpha)) * sum_{k=1}^{alpha-1}
                         cot(k*pi*beta/alpha) * cot(k*pi/alpha)
 
-evaluated exactly in a cyclotomic field.  The two must agree on every
+evaluated exactly as a sum of Galois traces.  The two must agree on every
 coprime pair; the sawtooth route is deliberately kept free of any shared
 machinery so it can serve as an oracle for the cotangent route.  It sums
 the alpha - 1 products as integers over one denominator 4*alpha^2, and
 tests pin it to the sum of ``sawtooth`` products itself; it is refused
 above ``SAWTOOTH_ALPHA_MAX``.
 
-The cotangent route runs on integers in Q(zeta_alpha): with
-X_k = (zeta_alpha^k + 1)/(zeta_alpha^k - 1), cot(k*pi/alpha) = i*X_k, so
-each term is -X_(k*beta) * X_k.  ``_cot_table`` builds the rows m*X_k
-for k <= alpha/2, m the order of zeta_alpha^k, as integers reduced mod
-Phi_alpha by :mod:`flateta.cyclotomic`, and packs them in one pass, each
-padded to the longest row's ``slots``, into one int
-``sum v[i] * 2^(bits*i)`` (Kronecker substitution), so a polynomial
-product is one big-int multiplication.  Packing is linear, so it then
-scales each row to the least common denominator alpha/g (every m
-divides alpha, and m = alpha at k = 1), g = gcd(alpha, (alpha/m) *
-gcd(row) over the rows): times alpha/m, then divided by g, exactly, as
-g divides every coefficient.  The slot width is exact: with D the
-largest |coefficient|, a coefficient of the sum in ``_cot_sum`` adds at
-most alpha/2 pairs of rows times ``slots`` products, so it is at most
-(alpha//2 + 1) * slots * D^2 in absolute value; with that bound and
-every unscaled coefficient below 2^(bits-1), each slot holds its
-balanced digit in (-2^(bits-1), 2^(bits-1)) without carrying, and
-anything left above the top slot is an internal error.  So is a width
-past 64 bits, the packer's 8-byte entries: no alpha up to
-``COT_ALPHA_MAX`` needs more (at most 56 bits, first at alpha = 595).
-The sum is unpacked once, reduced mod Phi_alpha and certified rational
-before it is returned.  The route is refused above ``COT_ALPHA_MAX``.
+The cotangent route.  With X(w) = (w + 1)/(w - 1), cot(k*pi/alpha) =
+i*X(zeta_alpha^k), so each term is -X(w)*X(w^beta), w = zeta_alpha^k.
+Group the k by e = alpha/gcd(k, alpha): w then runs once over the
+primitive e-th roots of unity, so each group is the trace from Q(zeta_e)
+to Q of X(w)*X(w^beta) (Rademacher-Grosswald, *Dedekind Sums*, ch. 2;
+Washington, *Introduction to Cyclotomic Fields*, ch. 2).  Since
+1/(w - 1) = (1/e) * sum_{j<e} j*w^j and 1 + w + ... + w^(e-1) = 0,
+e*X(w) = A(w) with A_0 = e and A_j = 2j (j >= 1), and
+
+    s(beta, alpha) = -(1/(4*alpha)) * sum_{e | alpha, e > 1} e^-2
+                        * sum_{j<e} A_j * D_e[j*beta mod e],
+    D_e[k] = Tr(A(w) * w^k) = sum_i A_i * c_e(i + k),
+
+with c_e(n) = Tr(w^n) Ramanujan's sum, sum_{d | gcd(n, e)} mu(e/d)*d
+(Hardy-Wright, section 16.6).  D_e does not depend on beta, and it is
+the product of A reversed with (c_e, c_e), which A's arithmetic
+coefficients make one running sum: D_e[0] = 0 and D_e[k+1] - D_e[k] =
+e*(c_e(k) + c_e(k+1)), so every D_e[k] is e times an integer.  Complex
+conjugation (w -> 1/w) fixes the trace, leaves c_e alone and negates
+A(w), so D_e[e-k] = -D_e[k], and j and e - j pair to a sum over
+j < e/2 only.  ``_traces`` works out each divisor's D_e/e once per alpha;
+``_cot_sum`` is one integer pass per divisor,
+
+    s(beta, alpha) = (1/(2*alpha^2)) * sum_e (alpha/e)
+                        * sum_{1 <= j < e/2} (e - 2j) * D_e[j*beta]/e,
+
+and certifies every answer before it is returned: 12*alpha*s must be an
+integer congruent to beta + beta^-1 mod alpha (Rademacher-Grosswald,
+ch. 3), anything else is an internal error.  The route is refused above
+``COT_ALPHA_MAX``.
 """
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
+from operator import add
 
-from .cyclotomic import FIELD_ORDER_MAX, _coth, _reduce_int_mod_phi
 from .errors import DomainError, shown
-
-_FLIP = bytes(b ^ 128 for b in range(256))  # translate: each byte with its top bit flipped
 
 
 def sawtooth(x) -> Fraction:
@@ -79,11 +85,13 @@ def _check_pair(beta: int, alpha: int) -> None:
                           "Dedekind sums need coprime arguments")
 
 
-# Largest alpha the cotangent route accepts, 1000, so that its fields stay
-# within the cyclotomic module's ceiling.  Its cost follows deg Phi_alpha,
-# which peaks at prime alpha (deg = alpha - 1): a cold alpha = 997 takes
-# about 0.5 s, most of it the first convolution (README has the table).
-COT_ALPHA_MAX = FIELD_ORDER_MAX // 4
+# Largest alpha the cotangent route accepts.  Its cost follows the sum of
+# the divisors of alpha, not a field degree: a cold alpha = 997 takes
+# about 15 ms (README has the table), so the ceiling is the contract of
+# the ``dedekind`` command rather than a cost limit, and
+# ``cyclotomic.FIELD_ORDER_MAX`` = 4 * COT_ALPHA_MAX lets ``cot_exact``
+# reach every cotangent the sum is made of.
+COT_ALPHA_MAX = 1000
 
 
 # Largest alpha the sawtooth route sums: its alpha - 1 integer products
@@ -114,14 +122,14 @@ def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
 
 
 def dedekind_cot(beta: int, alpha: int) -> Fraction:
-    """Dedekind sum through exact cyclotomic cotangent products.
+    """Dedekind sum through exact traces of cotangent products.
 
-    The summand has period alpha in beta and the k and alpha-k terms are
-    equal (both cotangent factors flip sign), which the implementation
-    exploits; the arithmetic itself is exact integer products of the
-    cotangents' coefficient vectors, whose total is certified rational
-    before being returned.  alpha above
-    COT_ALPHA_MAX is refused with DomainError rather than left to run.
+    The summand has period alpha in beta, which the implementation
+    exploits; the arithmetic is one integer pass per divisor of alpha
+    over that divisor's trace vector, and every total is certified
+    (12*alpha*s an integer congruent to beta + 1/beta mod alpha) before
+    being returned.  alpha above COT_ALPHA_MAX is refused with
+    DomainError.
     """
     _check_pair(beta, alpha)
     if alpha > COT_ALPHA_MAX:
@@ -134,94 +142,50 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     return _cot_sum(beta % alpha, alpha)
 
 
-def _slot_bits(bound: int) -> int:
-    """Slot width, in whole bytes, for packed vectors whose product sums
-    have every coefficient of absolute value at most ``bound``: a slot
-    holds any value in (-2^(bits-1), 2^(bits-1)), so no slot carries."""
-    return ((bound.bit_length() + 1 + 7) // 8) * 8
+def _ramanujan(e: int) -> list[int]:
+    """Ramanujan's sum c_e(n), n = 0 .. e-1: mu(e/d)*d summed over the
+    divisors d of gcd(n, e).  Only squarefree e/d count, so d = e/q for q
+    a product of distinct primes of e, mu(q) = -1 to their number."""
+    squarefree, rest, p = [(1, 1)], e, 2  # (q, mu(q))
+    while rest > 1:
+        if p * p > rest:  # rest is prime
+            p = rest
+        if rest % p == 0:
+            squarefree += [(q * p, -mu) for q, mu in squarefree]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    c = [0] * e
+    for q, mu in squarefree:
+        d = e // q
+        c[::d] = [x + mu * d for x in c[::d]]
+    return c
 
 
-def _bias(slots: int, bits: int) -> int:
-    """2^(bits-1) in every one of ``slots`` slots."""
-    return int.from_bytes((b"\0" * (bits // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _pack_rows(vectors, slots: int, bits: int) -> list[int]:
-    """Each vector, zero-padded to ``slots`` entries, as the integer
-    sum vec[i] * 2^(bits*i), for |vec[i]| < 2^(bits-1) and bits <= 64, in
-    one pass: all rows go into one zeroed buffer as 8-byte two's
-    complement, each slot keeps their low bytes with its top bit flipped
-    (+2^(bits-1)), and each row is read back as one int less the bias."""
-    raw = bytearray(8 * slots * len(vectors))
-    for r, vec in enumerate(vectors):
-        struct.pack_into(f"<{len(vec)}q", raw, 8 * slots * r, *vec)
-    width = bits // 8
-    out = bytearray(len(raw) // 8 * width)
-    for j in range(width):
-        out[j::width] = raw[j::8]
-    out[width - 1::width] = out[width - 1::width].translate(_FLIP)
-    size, bias = slots * width, _bias(slots, bits)
-    return [int.from_bytes(out[i:i + size], "little") - bias for i in range(0, len(out), size)]
-
-
-def _unpack(packed: int, slots: int, bits: int) -> list[int]:
-    """Balanced digits of a packed value, lowest slot first.
-
-    Adding 2^(bits-1) to every slot makes each digit non-negative, so the
-    digits are plain bytes; anything left above the top slot means a slot
-    overflowed, which the slot width rules out.
-    """
-    width = bits // 8
-    biased = packed + _bias(slots, bits)
-    if biased < 0 or biased >> (slots * bits):
-        raise RuntimeError("internal error: packed convolution overflowed its slots")
-    raw = biased.to_bytes(slots * width, "little")
-    half = 1 << (bits - 1)
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, slots * width, width)]
+@lru_cache(maxsize=None)
+def _traces(alpha: int) -> tuple[tuple[int, int, list[int]], ...]:
+    """(e, alpha/e, D_e/e) for each divisor e > 1 of alpha: the beta-free
+    half of every sum, D_e[k]/e = sum_{i<k} (c_e(i) + c_e(i+1))."""
+    out = []
+    for e in range(2, alpha + 1):
+        if alpha % e == 0:
+            c = _ramanujan(e)
+            out.append((e, alpha // e, list(accumulate(map(add, c, c[1:]), initial=0))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    den, bits, slots, rows = _cot_table(alpha)
-    # Pair k with alpha-k: equal terms, so sum halves and doubles at the
-    # end.  For even alpha the middle term k = alpha/2 is cot(pi/2) = 0.
-    packed = 0
-    for k in range(1, (alpha + 1) // 2):
-        packed += rows[k * beta % alpha] * rows[k]
-    rem = _reduce_int_mod_phi(_unpack(packed, 2 * slots - 1, bits), alpha)
-    # The sum is rational exactly when nothing past the constant term is
-    # left (the power basis is a Q-basis); certify that before returning.
-    constant, *rest = rem or [0]
-    if any(rest):
+    total = 0
+    for e, scale, d in _traces(alpha):
+        b = beta % e
+        total += scale * sum((e - 2 * j) * d[j * b % e] for j in range(1, (e + 1) // 2))
+    # 12*alpha*s = 6*total/alpha: an integer, congruent to beta + 1/beta
+    # mod alpha (Rademacher-Grosswald, ch. 3)
+    twelve, rest = divmod(6 * total, alpha)
+    if rest or (twelve - beta - pow(beta, -1, alpha)) % alpha:
         raise RuntimeError(
-            "internal error: cotangent Dedekind sum failed rationality "
-            f"certification for ({beta}, {alpha})"
+            "internal error: cotangent Dedekind sum failed certification "
+            f"for ({beta}, {alpha})"
         )
-    # cot * cot = (i*X) * (i*X') = -X * X'
-    return Fraction(-2 * constant, den * den * 4 * alpha)
-
-
-@lru_cache(maxsize=None)
-def _cot_table(alpha: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """X_k = (zeta_alpha^k + 1)/(zeta_alpha^k - 1), k = 1..alpha-1, as
-    packed rows over their least common denominator, packed first and
-    scaled after (see the module docstring for both and the slot width).
-
-    Returns (denominator, slot bits, slots, rows) with rows 1-indexed and
-    slots the length of the longest row, at least 1 (alpha = 2's one row,
-    X_1 = 0, is empty).
-    """
-    # X_(alpha-k) = -X_k: compute k <= alpha/2, negate the packed rest.
-    xs = [_coth(k, alpha) for k in range(1, alpha // 2 + 1)]
-    slots = max(1, *(len(row) for row, _ in xs))
-    scales = [alpha // m for _, m in xs]
-    g = gcd(alpha, *(scale * gcd(*row) for scale, (row, _) in zip(scales, xs)))
-    peaks = [max(max(row, default=0), -min(row, default=0)) for row, _ in xs]
-    top = max(peak * scale // g for peak, scale in zip(peaks, scales))
-    bits = _slot_bits(max((alpha // 2 + 1) * slots * top * top, *peaks))
-    if bits > 64:
-        raise RuntimeError(f"internal error: the table of alpha = {alpha} needs {bits}-bit slots")
-    packed = _pack_rows([row for row, _ in xs], slots, bits)
-    rows = [row * scale // g for row, scale in zip(packed, scales)]  # exact: see module docstring
-    return alpha // g, bits, slots, (0, *rows, *(-row for row in reversed(rows[: (alpha - 1) // 2])))
+    return Fraction(total, 2 * alpha * alpha)

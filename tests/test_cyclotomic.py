@@ -18,7 +18,7 @@ from flateta import (
     cyclotomic_polynomial,
 )
 from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi
-from flateta.dedekind import COT_ALPHA_MAX, _pack_rows, _slot_bits, _unpack
+from flateta.dedekind import COT_ALPHA_MAX
 
 from helpers import embed_complex, embed_mp
 
@@ -98,80 +98,6 @@ class TestReduction:
         for length in (0, 1, order // 2, order - 1, order, order + 3, 2 * order, 3 * order + 1):
             vec = [rng.randint(-999, 999) for _ in range(length)]
             assert _reduce_int_mod_phi(vec, order) == _long_division(vec, order), length
-
-
-def _summed_products(pairs, length):
-    # the schoolbook oracle for a sum of packed products
-    out = [0] * (2 * length - 1)
-    for a, b in pairs:
-        for i, c in enumerate(_poly_mul(a, b)):
-            out[i] += c
-    return out
-
-
-@st.composite
-def _vector_pairs(draw, extreme=False):
-    """(length, top, pairs): equal-length signed vectors with entries of
-    absolute value at most top; with extreme, every entry is +-top.  top
-    goes up to the largest whose sums fit 64-bit slots, the packer's
-    widest: count * length * top^2 < 2^62."""
-    length, count = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-    top = draw(st.integers(0, math.isqrt((2**62 - 1) // (count * length))))
-    entry = st.sampled_from((-top, top)) if extreme else st.integers(-top, top)
-    vector = st.lists(entry, min_size=length, max_size=length)
-    pairs = draw(st.lists(st.tuples(vector, vector), min_size=count, max_size=count))
-    return length, top, pairs
-
-
-class TestPackedConvolution:
-    @staticmethod
-    def _packed_sum(length, top, pairs):
-        bits = _slot_bits(len(pairs) * length * top * top)
-        total = sum(x * y for x, y in (_pack_rows([a, b], length, bits) for a, b in pairs))
-        return _unpack(total, 2 * length - 1, bits)
-
-    @given(case=_vector_pairs())
-    @settings(max_examples=150, deadline=None)
-    def test_sum_of_products_matches_schoolbook(self, case):
-        length, top, pairs = case
-        assert self._packed_sum(length, top, pairs) == _summed_products(pairs, length)
-
-    @given(case=_vector_pairs(extreme=True))
-    @settings(max_examples=150, deadline=None)
-    def test_every_slot_at_full_magnitude(self, case):
-        length, top, pairs = case
-        assert self._packed_sum(length, top, pairs) == _summed_products(pairs, length)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("length, count, top", [(1, 1, 1), (5, 3, 127), (9, 4, 2**28 - 1)])
-    def test_bound_is_reached_without_carry(self, sign, length, count, top):
-        # all entries equal: the middle slot is exactly count * length * top^2,
-        # which for the last case takes a whole 64-bit slot
-        pairs = [([top] * length, [sign * top] * length)] * count
-        result = self._packed_sum(length, top, pairs)
-        assert result[length - 1] == sign * count * length * top * top
-        assert result == _summed_products(pairs, length)
-
-    @pytest.mark.parametrize("width", [1, 7, 8])
-    def test_packer_at_the_boundaries(self, width):
-        # entries at the edges of 8-byte two's complement and of the slot,
-        # where they fit, in rows that are full, shorter and all zero
-        bits = 8 * width
-        half = 1 << (bits - 1)
-        values = [2**63 - 1, -(2**63 - 1), half - 1, -(half - 1), 1, -1, 0]
-        full = [v for v in values if abs(v) < half]
-        slots = len(full) + 2
-        rows = [full, full[:1], full[::-1], [], [0] * slots, [0] * 3]
-        packed = _pack_rows(rows, slots, bits)
-        assert packed == [sum(v * 2 ** (bits * i) for i, v in enumerate(row)) for row in rows]
-        assert [_unpack(p, slots, bits) for p in packed] == [
-            row + [0] * (slots - len(row)) for row in rows
-        ]
-
-    @pytest.mark.parametrize("excess", [1 << 24, -(1 << 24)])
-    def test_overflow_past_the_top_slot_is_an_internal_error(self, excess):
-        with pytest.raises(RuntimeError, match="internal error"):
-            _unpack(excess, 3, 8)
 
 
 class TestFieldOrderCeiling:

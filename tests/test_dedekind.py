@@ -1,7 +1,8 @@
 """Dedekind sums: sawtooth oracle, cotangent path, and their identities."""
 
 from fractions import Fraction
-from math import gcd, lcm
+import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from flateta import (
     DomainError,
     cot_exact,
     cyclotomic,
+    cyclotomic_polynomial,
     dedekind,
     dedekind_cot,
     dedekind_sawtooth,
     sawtooth,
 )
 from flateta.cyclotomic import _reduce_int_mod_phi
-from flateta.dedekind import COT_ALPHA_MAX, SAWTOOTH_ALPHA_MAX, _cot_table, _unpack
+from flateta.dedekind import COT_ALPHA_MAX, SAWTOOTH_ALPHA_MAX, _ramanujan, _traces
 
 
 def coprime_pairs(max_alpha, include_negative=True):
@@ -130,16 +132,9 @@ class TestCotangentSum:
 
     @pytest.mark.parametrize("beta, alpha", [(7, 997), (3, 998), (7, 999), (7, 1000)])
     def test_matches_sawtooth_oracle_near_ceiling(self, beta, alpha):
-        # one alpha per class mod 4, so both parities of M/4, where the
-        # slot bound (alpha//2 + 1) * deg * D^2 is largest
+        # the largest alphas the route accepts: a prime (one trace, of
+        # degree 996), 2 * 499, 27 * 37 and 8 * 125 (16 divisors)
         assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha)
-
-    def test_irrational_remainder_fails_certification(self, monkeypatch):
-        # a sum with anything left past the constant term must not be returned
-        monkeypatch.setattr(dedekind, "_reduce_int_mod_phi", lambda vec, order: [0, 1])
-        dedekind._cot_sum.cache_clear()
-        with pytest.raises(RuntimeError, match="failed rationality certification"):
-            dedekind_cot(2, 5)
 
     @pytest.mark.parametrize("route", [dedekind_cot, dedekind_sawtooth])
     @pytest.mark.parametrize("beta, alpha", [(1.5, 3), (1, 3.0), (Fraction(1), 3)])
@@ -154,83 +149,81 @@ class TestCotangentSum:
             dedekind_cot(1, 10**9)
 
 
-@pytest.mark.parametrize("alpha", [*range(2, 121), 997, 998, 999, 1000])
-def test_packed_table_rows_are_scaled_cotangents(alpha):
-    # every row, the negated back half included, read back, spread onto
-    # Q(zeta_M) with step M/alpha, shifted by M/4 (times i) and reduced mod
-    # Phi_M, is den * cot(k*pi/alpha)
-    den, bits, slots, rows = _cot_table(alpha)
-    order = lcm(4, 2 * alpha)
-    step, quarter = order // alpha, order // 4
-    for k in range(1, alpha):
-        spread = [0] * (quarter + step * slots)
-        spread[quarter::step] = _unpack(rows[k], slots, bits)
-        value = cot_exact(k, alpha)
-        assert den % value.denominator == 0
-        expected = [c * (den // value.denominator) for c in value.numerator]
-        assert _reduce_int_mod_phi(spread, order) == expected, k
+def _trace_of_power(j, e):
+    # Tr(w^j) over Q(zeta_e) as the trace of multiplication by w^j on the
+    # power basis: the sum of the diagonal entries y^(i+j) mod Phi_e at y^i
+    degree = len(cyclotomic_polynomial(e)) - 1
+    total = 0
+    for i in range(degree):
+        rem = _reduce_int_mod_phi([0] * (i + j) + [1], e)
+        total += rem[i] if i < len(rem) else 0
+    return total
 
 
-@pytest.mark.parametrize("alpha, den, bits", [(200, 5, 24), (180, 15, 32)])
-def test_table_is_over_its_least_common_denominator(alpha, den, bits):
-    # alpha itself, 200 and 180, would need 32- and 40-bit slots
-    assert _cot_table(alpha)[:2] == (den, bits)
+@pytest.mark.parametrize("e", range(2, 61))
+def test_ramanujan_sums_are_traces_of_powers(e):
+    assert _ramanujan(e) == [_trace_of_power(j, e) for j in range(e)]
 
 
-@pytest.mark.parametrize("alpha", range(2, 61))
-def test_table_denominator_is_in_lowest_terms(alpha):
-    den, bits, slots, rows = _cot_table(alpha)
-    entries = [c for row in rows[1:] for c in _unpack(row, slots, bits)]
-    assert gcd(den, *entries) == 1
+@pytest.mark.parametrize("e", [*range(2, 61), 997, 999, 1000])
+def test_trace_vector_is_the_trace_of_a_times_a_power(e):
+    # D_e[k] = Tr(A(w) * w^k), A = e*(w + 1)/(w - 1) with A_0 = e and
+    # A_j = 2j: reduce A * y^k mod Phi_e and take the trace through c_e
+    # (pinned to the power-basis trace above); _traces keeps D_e / e
+    (*_, (last, scale, d)) = _traces(e)
+    assert (last, scale, len(d)) == (e, 1, e)
+    c = _ramanujan(e)
+    a = [e] + [2 * j for j in range(1, e)]
+    for k in range(e):
+        rem = _reduce_int_mod_phi([0] * k + a, e)
+        assert e * d[k] == sum(r * c[j] for j, r in enumerate(rem)), k
 
 
-@pytest.mark.parametrize("alpha", [100, 144, 180, 200])
+def test_corrupted_trace_fails_certification(monkeypatch):
+    # one trace entry off by one: the sum is no longer 1/(12*alpha) times
+    # an integer congruent to beta + 1/beta, and must not be returned
+    for alpha, k in [(5, 1), (5, 2), (24, 7), (997, 400)]:
+        good = _traces(alpha)
+        e, scale, d = good[-1]
+        bad = good[:-1] + ((e, scale, [x + (i == k) for i, x in enumerate(d)]),)
+        monkeypatch.setattr(dedekind, "_traces", lambda alpha, bad=bad: bad)
+        dedekind._cot_sum.cache_clear()
+        with pytest.raises(RuntimeError, match="internal error.*failed certification"):
+            for beta in range(1, alpha):
+                if gcd(beta, alpha) == 1:
+                    dedekind_cot(beta, alpha)
+    dedekind._cot_sum.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", range(2, 201))
 def test_every_residue_matches_sawtooth(alpha):
-    # composite alphas whose tables lose a factor to lowest terms
+    # the benchmark's ladder and everything between, every residue, each
+    # alpha from a cold set-up
+    dedekind._traces.cache_clear()
     for beta in range(alpha):
         if gcd(beta, alpha) == 1:
             assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha), beta
 
 
-def test_table_past_64_bit_slots_is_an_internal_error(monkeypatch):
-    # the packer writes 8-byte entries; a wider slot must never be packed
-    monkeypatch.setattr(dedekind, "_slot_bits", lambda bound: 72)
-    dedekind._cot_table.cache_clear()
-    with pytest.raises(RuntimeError, match="internal error.*72-bit slots"):
-        _cot_table(5)
-
-
-def test_widest_table_is_56_bits():
-    # alpha = 595 is the first of the 21 alphas <= COT_ALPHA_MAX whose
-    # table needs 56-bit slots, the widest any needs; its longest row
-    # fills deg Phi_595 = 384 slots.  Each sum there takes about 0.1 s,
-    # so a sample of its 384 residues is checked.
-    _, bits, slots, _ = _cot_table(595)
-    assert (bits, slots) == (56, 384)
-    for beta in (1, 2, 3, 4, 297, 298, 593, 594):
-        assert dedekind_cot(beta, 595) == dedekind_sawtooth(beta, 595), beta
-
-
-def test_field_set_up_is_shared_with_cot_exact():
-    # a table builds Q(zeta_alpha)'s reduction once; cot_exact in the same
-    # alpha reuses it and adds Q(zeta_M)'s, M = lcm(4, 2*alpha), once
+def test_cold_sum_near_the_ceiling_stays_small():
+    # the largest field degree the route meets, alpha = 997 prime: the
+    # set-up holds one trace vector of 997 ints, well under 1 MiB
     dedekind._cot_sum.cache_clear()
-    dedekind._cot_table.cache_clear()
-    cyclotomic._reduction.cache_clear()
-    dedekind_cot(1, 60)
-    misses = cyclotomic._reduction.cache_info().misses
-    cot_exact(1, 60)
-    assert cyclotomic._reduction.cache_info().misses == misses + 1
-    for k in range(2, 60):
-        cot_exact(k, 60)
-    assert cyclotomic._reduction.cache_info().misses == misses + 1
+    dedekind._traces.cache_clear()
+    tracemalloc.start()
+    try:
+        assert dedekind_cot(1, 997) == dedekind_sawtooth(1, 997)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
     "module, names",
     [
         (cyclotomic, {"_reduction"}),
-        (dedekind, {"_cot_sum", "_cot_table"}),
+        (dedekind, {"_cot_sum", "_traces"}),
     ],
     ids=["cyclotomic", "dedekind"],
 )
@@ -242,11 +235,13 @@ def test_module_caches_clear_and_report(module, names):
     }
     assert set(caches) == names
     dedekind_cot(5, 24)
+    cot_exact(5, 24)
     for fn in caches.values():
         assert fn.cache_info().currsize > 0
         fn.cache_clear()
         assert fn.cache_info().currsize == 0
     assert dedekind_cot(5, 24) == dedekind_sawtooth(5, 24)
+    assert cot_exact(5, 24) == cot_exact(29, 24)
 
 
 class TestIdentities:
