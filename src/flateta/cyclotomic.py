@@ -6,17 +6,17 @@ modulo the N-th cyclotomic polynomial Phi_N, over the power basis
 an integer numerator vector over that basis and one positive
 denominator, in lowest terms.  Because the basis is a Q-basis, an
 element is a rational number exactly when every coefficient past the
-constant term vanishes: a rational value is stored at order 1, and
-:mod:`flateta.dedekind` certifies its sums rational by that same
-syntactic check.
+constant term vanishes, and a rational value is stored at order 1.
 
 Nothing in this module rounds, and there is no field arithmetic on
 elements: ``cot_exact`` returns cot(k*pi/n) as a frozen value that
 compares within one order, promotes to a larger field or reads as
-coefficients, and that is all.  The one consumer of the arithmetic is
-:mod:`flateta.dedekind`, which sums products of cotangent rows
-(below) on the integers underneath with a packed convolution of its
-own.  This module gives it two things:
+coefficients, and that is all.  :mod:`flateta.dedekind` does not use
+this module: its cotangent route sums Galois traces on plain integers.
+What reads these values is the benchmark's staged set-up of a cold
+field and the tests, which compare them with mpmath and use the
+reduction as an independent trace of the Dedekind route's vectors.
+Under ``cot_exact`` are two things:
 
 * **Sparse reduction.**  ``_reduce_int_mod_phi`` divides by two sparse
   multiples of Phi_N before dividing by Phi_N itself, so its remainder is
@@ -35,9 +35,9 @@ own.  This module gives it two things:
 * **Integer cotangent rows.**  cot(r*pi/n) = i*X with
   X = (w + 1)/(w - 1), w = zeta_n^r, and X lies in Q(zeta_n).  ``_coth``
   builds m*X, m the order of w, as an integer remainder mod Phi_n,
-  without a cache; the Dedekind route's table is made of these rows.
-  ``cot_exact`` spreads the row onto Q(zeta_M), M = lcm(4, 2n), shifts it
-  by M/4 (i = zeta_M^(M/4)) and reduces it mod Phi_M.
+  without a cache.  ``cot_exact`` spreads the row onto Q(zeta_M),
+  M = lcm(4, 2n), shifts it by M/4 (i = zeta_M^(M/4)) and reduces it
+  mod Phi_M.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from operator import add, neg, sub
 from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
-# is allocated.  It is 4 * dedekind.COT_ALPHA_MAX: the Dedekind route works
-# in Q(zeta_alpha), but ``cot_exact`` and ``promoted`` reach Q(zeta_M),
-# M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999).
+# is allocated.  It is 4 * dedekind.COT_ALPHA_MAX, so that ``cot_exact``
+# and ``promoted`` reach Q(zeta_M), M = lcm(4, 2*alpha) <= 4*alpha (3996 at
+# alpha = 999), for every cotangent in a sum the Dedekind route accepts.
 FIELD_ORDER_MAX = 4000
 
 
@@ -270,6 +270,7 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
 def _coth(r: int, n: int) -> tuple[list[int], int]:
     """m*(w + 1)/(w - 1) for w = zeta_n^r of order m, r not a multiple of n,
     as (rem, m): rem the trimmed integer remainder mod Phi_n, empty at w = -1.
+    ``cot_exact`` is its one caller.
     """
     # 1/(w - 1) = (1/m) * sum_{j<m} j*w^j makes it (m - 1) + sum_{j=1}^{m-1}
     # (2j - 1)*w^j, with no polynomial gcd per row.  For even n,

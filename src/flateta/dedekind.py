@@ -40,7 +40,7 @@ j < e/2 only.  ``_traces`` works out each divisor's D_e/e once per alpha;
 ``_cot_sum`` is one integer pass per divisor,
 
     s(beta, alpha) = (1/(2*alpha^2)) * sum_e (alpha/e)
-                        * sum_{1 <= j < e/2} (e - 2j) * D_e[j*beta]/e,
+                        * sum_{1 <= j < e/2} (e - 2j) * D_e[j*beta mod e]/e,
 
 and certifies every answer before it is returned: 12*alpha*s must be an
 integer congruent to beta + beta^-1 mod alpha (Rademacher-Grosswald,
@@ -137,8 +137,6 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
             f"alpha = {shown(alpha)} is above {COT_ALPHA_MAX}, the largest alpha "
             "the cyclotomic Dedekind route accepts"
         )
-    if alpha == 1:
-        return Fraction(0)
     return _cot_sum(beta % alpha, alpha)
 
 
@@ -163,14 +161,14 @@ def _ramanujan(e: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _traces(alpha: int) -> tuple[tuple[int, int, list[int]], ...]:
+def _traces(alpha: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(e, alpha/e, D_e/e) for each divisor e > 1 of alpha: the beta-free
     half of every sum, D_e[k]/e = sum_{i<k} (c_e(i) + c_e(i+1))."""
     out = []
     for e in range(2, alpha + 1):
         if alpha % e == 0:
             c = _ramanujan(e)
-            out.append((e, alpha // e, list(accumulate(map(add, c, c[1:]), initial=0))))
+            out.append((e, alpha // e, tuple(accumulate(map(add, c, c[1:]), initial=0))))
     return tuple(out)
 
 

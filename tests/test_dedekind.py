@@ -1,7 +1,7 @@
 """Dedekind sums: sawtooth oracle, cotangent path, and their identities."""
 
-from fractions import Fraction
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -179,19 +179,19 @@ def test_trace_vector_is_the_trace_of_a_times_a_power(e):
         assert e * d[k] == sum(r * c[j] for j, r in enumerate(rem)), k
 
 
-def test_corrupted_trace_fails_certification(monkeypatch):
-    # one trace entry off by one: the sum is no longer 1/(12*alpha) times
-    # an integer congruent to beta + 1/beta, and must not be returned
-    for alpha, k in [(5, 1), (5, 2), (24, 7), (997, 400)]:
-        good = _traces(alpha)
-        e, scale, d = good[-1]
-        bad = good[:-1] + ((e, scale, [x + (i == k) for i, x in enumerate(d)]),)
-        monkeypatch.setattr(dedekind, "_traces", lambda alpha, bad=bad: bad)
-        dedekind._cot_sum.cache_clear()
-        with pytest.raises(RuntimeError, match="internal error.*failed certification"):
-            for beta in range(1, alpha):
-                if gcd(beta, alpha) == 1:
-                    dedekind_cot(beta, alpha)
+@pytest.mark.parametrize("alpha, k", [(5, 1), (24, 7), (997, 400)])
+@pytest.mark.parametrize("off_by", ["one", "alpha"])
+def test_corrupted_trace_fails_certification(monkeypatch, alpha, k, off_by):
+    # one entry of alpha's own trace vector, read by s(1, alpha) with weight
+    # alpha - 2k, moved by 1 leaves 12*alpha*s fractional; moved by alpha it
+    # leaves an integer that is no longer 1 + 1 mod alpha
+    *rest, (e, scale, d) = _traces(alpha)
+    d = list(d)
+    d[k] += 1 if off_by == "one" else alpha
+    monkeypatch.setattr(dedekind, "_traces", lambda alpha: (*rest, (e, scale, d)))
+    dedekind._cot_sum.cache_clear()
+    with pytest.raises(RuntimeError, match="internal error.*failed certification"):
+        dedekind_cot(1, alpha)
     dedekind._cot_sum.cache_clear()
 
 
@@ -199,6 +199,7 @@ def test_corrupted_trace_fails_certification(monkeypatch):
 def test_every_residue_matches_sawtooth(alpha):
     # the benchmark's ladder and everything between, every residue, each
     # alpha from a cold set-up
+    dedekind._cot_sum.cache_clear()
     dedekind._traces.cache_clear()
     for beta in range(alpha):
         if gcd(beta, alpha) == 1:
@@ -206,16 +207,17 @@ def test_every_residue_matches_sawtooth(alpha):
 
 
 def test_cold_sum_near_the_ceiling_stays_small():
-    # the largest field degree the route meets, alpha = 997 prime: the
-    # set-up holds one trace vector of 997 ints, well under 1 MiB
+    # alpha = 997 is prime, so its one trace vector, of 997 ints, is the
+    # longest the route builds; the table it replaced peaked at 26.9 MiB
     dedekind._cot_sum.cache_clear()
     dedekind._traces.cache_clear()
     tracemalloc.start()
     try:
-        assert dedekind_cot(1, 997) == dedekind_sawtooth(1, 997)
+        value = dedekind_cot(1, 997)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert value == dedekind_sawtooth(1, 997)
     assert peak < 1 << 20
 
 
