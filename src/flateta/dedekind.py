@@ -161,14 +161,14 @@ def _ramanujan(e: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _traces(alpha: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+def _traces(alpha: int) -> tuple[tuple[int, int, list[int]], ...]:
     """(e, alpha/e, D_e/e) for each divisor e > 1 of alpha: the beta-free
     half of every sum, D_e[k]/e = sum_{i<k} (c_e(i) + c_e(i+1))."""
     out = []
     for e in range(2, alpha + 1):
         if alpha % e == 0:
             c = _ramanujan(e)
-            out.append((e, alpha // e, tuple(accumulate(map(add, c, c[1:]), initial=0))))
+            out.append((e, alpha // e, list(accumulate(map(add, c, c[1:]), initial=0))))
     return tuple(out)
 
 

@@ -108,10 +108,12 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = options.seconds or bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+    # resolved once, so a commit made while the runs go on changes no label
     shas = {rev: _git("rev-parse", "--short=7", rev) for rev in options.revs}
+    subjects = {rev: _git("log", "-1", "--format=%s", sha) for rev, sha in shas.items()}
     results = {rev: {w: {"runs": [], "trace": None} for w in workloads} for rev in shas}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {rev: _unpack(rev, Path(tmp) / sha) for rev, sha in shas.items()}
+        trees = {rev: _unpack(sha, Path(tmp) / sha) for rev, sha in shas.items()}
         for trace, seeds in ((0, options.seeds), (1, options.seeds[:1])):
             for seed in seeds:
                 for workload in workloads:
@@ -126,9 +128,8 @@ def main() -> int:
                         else:
                             slot["runs"].append(run)
     for rev, sha in shas.items():
-        subject = _git("log", "-1", "--format=%s", rev)
         doc = {
-            "commit": f"{sha} ({subject})",
+            "commit": f"{sha} ({subjects[rev]})",
             "machine": _machine(),
             "command": " ".join(bench["command"])
             + " --workload W --seed N --seconds S --trace 0|1",
