@@ -48,13 +48,14 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
 
+from .dedekind import COT_ALPHA_MAX
 from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
-# is allocated.  It is 4 * dedekind.COT_ALPHA_MAX, so that ``cot_exact``
-# and ``promoted`` reach Q(zeta_M), M = lcm(4, 2*alpha) <= 4*alpha (3996 at
-# alpha = 999), for every cotangent in a sum the Dedekind route accepts.
-FIELD_ORDER_MAX = 4000
+# is allocated: ``cot_exact`` and ``promoted`` reach Q(zeta_M),
+# M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999), for every
+# cotangent in a sum the Dedekind route accepts.
+FIELD_ORDER_MAX = 4 * COT_ALPHA_MAX
 
 
 def _check_order(order: int) -> None:

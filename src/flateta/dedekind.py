@@ -88,9 +88,7 @@ def _check_pair(beta: int, alpha: int) -> None:
 # Largest alpha the cotangent route accepts.  Its cost follows the sum of
 # the divisors of alpha, not a field degree: a cold alpha = 997 takes
 # about 0.2 ms (README has the table), so the ceiling is the contract of
-# the ``dedekind`` command rather than a cost limit, and
-# ``cyclotomic.FIELD_ORDER_MAX`` = 4 * COT_ALPHA_MAX lets ``cot_exact``
-# reach every cotangent the sum is made of.
+# the ``dedekind`` command rather than a cost limit.
 COT_ALPHA_MAX = 1000
 
 

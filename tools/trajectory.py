@@ -2,22 +2,22 @@
 
 For every REV, unpacks that commit's ``src/`` and ``perfbench/`` with
 ``git archive`` into a temporary directory and runs its
-``perfbench/run.py`` there: every seed on every workload of
-``BENCHMARK.json`` with ``--trace 0``, then one ``--trace 1`` run per
-workload, the commits alternating run by run so that drift of the machine
-falls on all of them alike.  Writes ``BENCH_<shortsha>.json`` at the
+``perfbench/run.py`` there for ``BENCHMARK.json``'s ``run_seconds``:
+seeds 1 to 10 on every workload of ``BENCHMARK.json`` with ``--trace 0``,
+then one ``--trace 1`` run per workload on seed 1, the commits
+alternating run by run so that drift of the machine falls on all of them
+alike.  Writes ``BENCH_<shortsha>.json`` at the
 repository root in the layout of ``perfbench/trajectory/seed.json``:
 median, quartiles (``statistics.quantiles``, n=4), spread
 ((q3 - q1)/median) and bound of every end-to-end metric, each run's
-figures, and the per-layer metrics of the traced run.  A run that fails
-is kept with its error and left out of the summaries; its commit's
-harness is not patched.  Only the standard library is used:
+figures, and the per-layer metrics of the traced run.  A run that did
+not finish, or finished with failed operations, is kept with its error
+or its counts and left out of the summaries; its commit's harness is not
+patched.  Only the standard library is used:
 
     python3 tools/trajectory.py HEAD~1 HEAD
-    python3 tools/trajectory.py HEAD --seeds 1 2 --seconds 5   # a quick look
 
-The defaults (ten seeds, BENCHMARK.json's 45 s) take about 18 minutes
-per commit.
+Ten seeds at 45 s take about 18 minutes per commit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = list(range(1, 11))
+TRACE_SEED = 1
 
 
 def _git(*args: str) -> str:
@@ -87,7 +89,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> di
 def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
-        values = [r["metrics"][metric["name"]] for r in runs if "metrics" in r]
+        values = [r["metrics"][metric["name"]] for r in runs if r.get("correct")]
         if len(values) < 2:
             continue
         q1, median, q3 = statistics.quantiles(values, n=4)
@@ -101,12 +103,9 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("revs", nargs="+", help="git revisions to benchmark")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     options = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = options.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     # resolved once, so a commit made while the runs go on changes no label
     shas = {rev: _git("rev-parse", "--short=7", rev) for rev in options.revs}
@@ -114,7 +113,7 @@ def main() -> int:
     results = {rev: {w: {"runs": [], "trace": None} for w in workloads} for rev in shas}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {rev: _unpack(sha, Path(tmp) / sha) for rev, sha in shas.items()}
-        for trace, seeds in ((0, options.seeds), (1, options.seeds[:1])):
+        for trace, seeds in ((0, SEEDS), (1, [TRACE_SEED])):
             for seed in seeds:
                 for workload in workloads:
                     for rev, tree in trees.items():
@@ -133,7 +132,7 @@ def main() -> int:
             "machine": _machine(),
             "command": " ".join(bench["command"])
             + " --workload W --seed N --seconds S --trace 0|1",
-            "seeds": options.seeds,
+            "seeds": SEEDS,
             "run_seconds": seconds,
             "note": "medians, quartiles and spread ((q3-q1)/median, statistics.quantiles n=4) "
                     "of the seeds' --trace 0 runs, written by tools/trajectory.py; commits "
@@ -143,7 +142,7 @@ def main() -> int:
                 w: {"summary": _summary(r["runs"], bench["end_to_end"]), "runs": r["runs"]}
                 for w, r in results[rev].items()
             },
-            "per_layer_trace_seed1": {
+            f"per_layer_trace_seed{TRACE_SEED}": {
                 w: {k: v for k, v in r["trace"].items() if k not in ("seed", "wall_s")}
                 for w, r in results[rev].items()
             },
