@@ -35,12 +35,15 @@ the product of A reversed with (c_e, c_e), which A's arithmetic
 coefficients make one running sum: D_e[0] = 0 and D_e[k+1] - D_e[k] =
 e*(c_e(k) + c_e(k+1)), so every D_e[k] is e times an integer.  Complex
 conjugation (w -> 1/w) fixes the trace, leaves c_e alone and negates
-A(w), so D_e[e-k] = -D_e[k], and j and e - j pair to a sum over
-j < e/2 only.  ``_traces`` works out each divisor's D_e/e once per alpha;
-``_cot_sum`` is one integer pass per divisor,
+A(w), so D_e[e-j] = -D_e[j]: j pairs with e - j, weight (e - 2j)/e.
+Put k = j*alpha/e.  The weight becomes (alpha - 2k)/alpha and the index
+j*beta mod e becomes (k*beta mod alpha)*e/alpha for every divisor alike,
+so ``_traces`` adds the vectors up once per alpha, from sigma(alpha)
+integers, into H: H[n] sums D_e[n*e/alpha]/e over the e with (alpha/e) | n.
+H is odd too, and ``_cot_sum`` is one pass of ceil(alpha/2) - 1 terms,
 
-    s(beta, alpha) = (1/(2*alpha^2)) * sum_e (alpha/e)
-                        * sum_{1 <= j < e/2} (e - 2j) * D_e[j*beta mod e]/e,
+    s(beta, alpha) = (1/(2*alpha^2)) * sum_{1 <= k < alpha/2}
+                        (alpha - 2k) * H[k*beta mod alpha],
 
 and certifies every answer before it is returned: 12*alpha*s must be an
 integer congruent to beta + beta^-1 mod alpha (Rademacher-Grosswald,
@@ -85,10 +88,9 @@ def _check_pair(beta: int, alpha: int) -> None:
                           "Dedekind sums need coprime arguments")
 
 
-# Largest alpha the cotangent route accepts.  Its cost follows the sum of
-# the divisors of alpha, not a field degree: a cold alpha = 997 takes
-# about 0.2 ms (README has the table), so the ceiling is the contract of
-# the ``dedekind`` command rather than a cost limit.
+# Largest alpha the cotangent route accepts.  Set-up costs sigma(alpha)
+# and a sum ceil(alpha/2) - 1 terms: a cold alpha = 997 takes about 0.2 ms
+# (README's table), so the ceiling is the ``dedekind`` command's contract.
 COT_ALPHA_MAX = 1000
 
 
@@ -123,8 +125,8 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     """Dedekind sum through exact traces of cotangent products.
 
     The summand has period alpha in beta, which the implementation
-    exploits; the arithmetic is one integer pass per divisor of alpha
-    over that divisor's trace vector, and every total is certified
+    exploits; the arithmetic is one integer pass over half of alpha's
+    summed trace vector, and every total is certified
     (12*alpha*s an integer congruent to beta + 1/beta mod alpha) before
     being returned.  alpha above COT_ALPHA_MAX is refused with
     DomainError.
@@ -159,25 +161,23 @@ def _ramanujan(e: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _traces(alpha: int) -> tuple[tuple[int, int, list[int]], ...]:
-    """(e, alpha/e, D_e/e) for each divisor e > 1 of alpha: the beta-free
-    half of every sum, D_e[k]/e = sum_{i<k} (c_e(i) + c_e(i+1)).  The
-    vectors are lists, read only: tuple() from the iterator raised the
-    sweep benchmark's peak RSS from 18.6 to 22.3 MiB (CPython 3.11)."""
-    out = []
-    for e in range(2, alpha + 1):
+def _traces(alpha: int) -> list[int]:
+    """H[n] sums D_e[n/s]/e = sum_{i<n/s} (c_e(i) + c_e(i+1)) over e | alpha,
+    e > 1, s = alpha/e | n.  A list, read only: tuples raised the sweep
+    benchmark's peak RSS from 18.6 to 22.3 MiB (CPython 3.11)."""
+    c = _ramanujan(alpha)
+    h = list(accumulate(map(add, c, c[1:]), initial=0))
+    for e in range(2, alpha):
         if alpha % e == 0:
-            c = _ramanujan(e)
-            out.append((e, alpha // e, list(accumulate(map(add, c, c[1:]), initial=0))))
-    return tuple(out)
+            s, c = alpha // e, _ramanujan(e)
+            h[s::s] = map(add, h[s::s], accumulate(map(add, c, c[1:])))
+    return h
 
 
 @lru_cache(maxsize=None)
 def _cot_sum(beta: int, alpha: int) -> Fraction:
-    total = 0
-    for e, scale, d in _traces(alpha):
-        b = beta % e
-        total += scale * sum((e - 2 * j) * d[j * b % e] for j in range(1, (e + 1) // 2))
+    h = _traces(alpha)
+    total = sum((alpha - 2 * k) * h[k * beta % alpha] for k in range(1, (alpha + 1) // 2))
     # 12*alpha*s = 6*total/alpha: an integer, congruent to beta + 1/beta
     # mod alpha (Rademacher-Grosswald, ch. 3)
     twelve, rest = divmod(6 * total, alpha)

@@ -165,30 +165,36 @@ def test_ramanujan_sums_are_traces_of_powers(e):
     assert _ramanujan(e) == [_trace_of_power(j, e) for j in range(e)]
 
 
-@pytest.mark.parametrize("e", [*range(2, 61), 997, 999, 1000])
-def test_trace_vector_is_the_trace_of_a_times_a_power(e):
-    # D_e[k] = Tr(A(w) * w^k), A = e*(w + 1)/(w - 1) with A_0 = e and
-    # A_j = 2j: reduce A * y^k mod Phi_e and take the trace through c_e
-    # (pinned to the power-basis trace above); _traces keeps D_e / e
-    (*_, (last, scale, d)) = _traces(e)
-    assert (last, scale, len(d)) == (e, 1, e)
-    c = _ramanujan(e)
-    a = [e] + [2 * j for j in range(1, e)]
-    for k in range(e):
-        rem = _reduce_int_mod_phi([0] * k + a, e)
-        assert e * d[k] == sum(r * c[j] for j, r in enumerate(rem)), k
+@pytest.mark.parametrize("alpha", [*range(2, 61), 997, 999, 1000])
+def test_trace_vector_is_the_trace_of_a_times_a_power(alpha):
+    # D_e[j] = Tr(A(w) * w^j), A = e*(w + 1)/(w - 1) with A_0 = e and
+    # A_j = 2j: reduce A * y^j mod Phi_e and take the trace through c_e
+    # (pinned to the power-basis trace above); _traces keeps at n the sum
+    # of D_e[n/s] / e over the divisors e > 1 with s = alpha/e dividing n
+    h = _traces(alpha)
+    assert len(h) == alpha
+    expected = [0] * alpha
+    for e in range(2, alpha + 1):
+        if alpha % e == 0:
+            c = _ramanujan(e)
+            a = [e] + [2 * j for j in range(1, e)]
+            for j in range(e):
+                rem = _reduce_int_mod_phi([0] * j + a, e)
+                trace = sum(r * c[i] for i, r in enumerate(rem))
+                assert trace % e == 0, (e, j)
+                expected[j * (alpha // e)] += trace // e
+    assert h == expected
 
 
 @pytest.mark.parametrize("alpha, k", [(5, 1), (24, 7), (997, 400)])
 @pytest.mark.parametrize("off_by", ["one", "alpha"])
 def test_corrupted_trace_fails_certification(monkeypatch, alpha, k, off_by):
-    # one entry of alpha's own trace vector, read by s(1, alpha) with weight
+    # one entry of alpha's trace vector, read by s(1, alpha) with weight
     # alpha - 2k, moved by 1 leaves 12*alpha*s fractional; moved by alpha it
     # leaves an integer that is no longer 1 + 1 mod alpha
-    *rest, (e, scale, d) = _traces(alpha)
-    d = list(d)
-    d[k] += 1 if off_by == "one" else alpha
-    monkeypatch.setattr(dedekind, "_traces", lambda alpha: (*rest, (e, scale, d)))
+    h = list(_traces(alpha))
+    h[k] += 1 if off_by == "one" else alpha
+    monkeypatch.setattr(dedekind, "_traces", lambda alpha: h)
     dedekind._cot_sum.cache_clear()
     with pytest.raises(RuntimeError, match="internal error.*failed certification"):
         dedekind_cot(1, alpha)
@@ -206,18 +212,20 @@ def test_every_residue_matches_sawtooth(alpha):
             assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha), beta
 
 
-def test_cold_sum_near_the_ceiling_stays_small():
-    # alpha = 997 is prime, so its one trace vector, of 997 ints, is the
-    # longest the route builds; the table it replaced peaked at 26.9 MiB
+@pytest.mark.parametrize("alpha", [997, 840])
+def test_cold_sum_near_the_ceiling_stays_small(alpha):
+    # alpha = 997 is the largest prime the route accepts, so one running
+    # sum of 997 ints; 840 has the most divisors (32) of any alpha up to the
+    # ceiling, so the most running sums.  The table route peaked at 26.9 MiB
     dedekind._cot_sum.cache_clear()
     dedekind._traces.cache_clear()
     tracemalloc.start()
     try:
-        value = dedekind_cot(1, 997)
+        value = dedekind_cot(1, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == dedekind_sawtooth(1, 997)
+    assert value == dedekind_sawtooth(1, alpha)
     assert peak < 1 << 20
 
 
