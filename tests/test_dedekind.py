@@ -216,7 +216,7 @@ def test_every_residue_matches_sawtooth(alpha):
 def test_cold_sum_near_the_ceiling_stays_small(alpha):
     # alpha = 997 is the largest prime the route accepts, so one running
     # sum of 997 ints; 840 has the most divisors (32) of any alpha up to the
-    # ceiling, so the most running sums.  The table route peaked at 26.9 MiB
+    # ceiling, so the most running sums
     dedekind._cot_sum.cache_clear()
     dedekind._traces.cache_clear()
     tracemalloc.start()
