@@ -16,28 +16,17 @@ this module: its cotangent route sums Galois traces on plain integers.
 What reads these values is the benchmark's staged set-up of a cold
 field and the tests, which compare them with mpmath and use the
 reduction as an independent trace of the Dedekind route's vectors.
-Under ``cot_exact`` are two things:
+Under ``cot_exact`` are two steps:
 
-* **Sparse reduction.**  ``_reduce_int_mod_phi`` divides by two sparse
-  multiples of Phi_N before dividing by Phi_N itself, so its remainder is
-  that of plain long division.  First it folds with y^n = s (n = N/2,
-  s = -1 for even N; n = N, s = 1 for odd N), one elementwise pass per
-  length-n chunk.  Then, with p the least odd prime of N and L = n/p,
-  Phi_N divides sum_{i<p} s^i y^(i*L), so one elementwise pass subtracts
-  the top L entries, tiled with signs s^i, from the first n - L.  Last,
-  long division by Phi_N runs the n - L - deg Phi_N steps that are left
-  (none when N has at most one odd prime), each touching only Phi's
-  nonzero terms: ``Phi_N(x) = Phi_rad(N)(x^(N/rad N))`` has a handful
-  of them (5 at N = 400, degree 160).  ``_reduction`` works out n, s,
-  the cut n - L and those terms once per field, in the module's one
-  cache; Phi_N itself is built from two-term factors x^d - 1, multiplied
-  out and divided exactly.
-* **Integer cotangent rows.**  cot(r*pi/n) = i*X with
-  X = (w + 1)/(w - 1), w = zeta_n^r, and X lies in Q(zeta_n).  ``_coth``
-  builds m*X, m the order of w, as an integer remainder mod Phi_n,
-  without a cache.  ``cot_exact`` spreads the row onto Q(zeta_M),
-  M = lcm(4, 2n), shifts it by M/4 (i = zeta_M^(M/4)) and reduces it
-  mod Phi_M.
+* **Integer cotangent rows.**  cot(r*pi/n) = i*X(w), X(w) = (w + 1)/(w - 1)
+  and w = zeta_n^r of order m.  As 1/(w - 1) = (1/m) * sum_{j<m} j*w^j,
+  m*i*X(w) is the integer row over Q(zeta_M), M = lcm(4, 2n), with m - 1 at
+  i = zeta_M^(M/4) and 2j - 1 at i*w^j = zeta_M^(M/4 + j*r*M/n), 0 < j < m.
+* **Sparse reduction.**  ``_reduce_int_mod_phi`` folds with y^n = s
+  (n = N/2, s = -1 for even N; n = N, s = 1 for odd N), then long-divides
+  by Phi_N, each step touching only Phi's nonzero coefficients (5 of 161
+  at N = 400, 441 of 1321 at N = 3972).  ``_reduction`` works them out once
+  per field, in the module's one cache.
 """
 
 from __future__ import annotations
@@ -45,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from operator import add, neg, sub
+from math import gcd, lcm
+from operator import add, sub
 
-from .dedekind import COT_ALPHA_MAX
+from .dedekind import COT_ALPHA_MAX, _squarefree
 from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
@@ -90,16 +79,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     (1, 0, -1, 0, 1)
     """
     _check_order(order)
-    primes, rest, p = [], order, 2
-    while rest > 1:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    squarefree = [(1, 1)]  # (e, mu(e)) for every e dividing rad(N)
-    for p in primes:
-        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    squarefree = _squarefree(order)  # (e, mu(e)) for every e dividing rad(N)
     rad = squarefree[-1][0]
     poly, divisors = [1], []
     for e, mu in squarefree:
@@ -124,48 +104,30 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction(order: int) -> tuple:
-    """What ``_reduce_int_mod_phi`` needs to know of Phi_order, cached per
-    field: (n, s, cut, deg Phi_order, Phi's nonzero lower terms).
-
-    Phi_N divides y^n - s, with n = N/2, s = -1 for even N and n = N,
-    s = 1 for odd N.  With p the least odd prime of N and L = n/p, it also
-    divides D = sum_{i<p} s^i y^(i*L), monic of degree cut = n - L (p - 1
-    is even); without an odd prime (N a power of two, or 1) cut = n.
-    """
+    """(n, s, deg Phi_order, Phi's nonzero lower terms), cached per field:
+    Phi_N divides y^n - s, n = N/2 and s = -1 for even N, n = N and s = 1
+    for odd N."""
     phi = cyclotomic_polynomial(order)
     degree = len(phi) - 1
     n, s = (order // 2, -1) if order % 2 == 0 else (order, 1)
-    p = odd = order // (order & -order)  # p: the least prime of the odd part, or 1
-    for q in range(3, isqrt(odd) + 1, 2):
-        if odd % q == 0:
-            p = q
-            break
-    cut = n - n // p if p > 1 else n
     terms = tuple((j, c) for j, c in enumerate(phi[:degree]) if c)
-    return n, s, cut, degree, terms
+    return n, s, degree, terms
 
 
 def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
     """Trimmed remainder of an integer polynomial of any degree mod the
     monic Phi_order.
 
-    Each stage divides by a multiple of Phi_order, so the remainder is
-    that of plain long division; only the work shrinks.
+    The fold divides by y^n - s, a multiple of Phi_order, so the
+    remainder is that of plain long division; only the work shrinks.
     """
-    n, s, cut, degree, terms = _reduction(order)
+    n, s, degree, terms = _reduction(order)
     rem = vec[:n]
     sign = 1
     for start in range(n, len(vec), n):  # y^n = s folds chunk c in with s^c
         sign *= s
         chunk = vec[start:start + n]
         rem[:len(chunk)] = list(map(add if sign > 0 else sub, rem, chunk))
-    if len(rem) > cut:
-        # y^cut = -sum_{i<p-1} s^i y^(i*L) clears the top L entries at once:
-        # subtract them, tiled with signs s^i, from the first cut entries.
-        top = rem[cut:] + [0] * (n - len(rem))
-        if s < 0:
-            top += list(map(neg, top))
-        rem = list(map(sub, rem, top * (cut // len(top))))
     for i in range(len(rem) - degree - 1, -1, -1):  # y^i * Phi clears y^(i + degree)
         c = rem[i + degree]
         if c:
@@ -205,7 +167,7 @@ class CyclotomicElement:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The deg(Phi_order) coefficients over the power basis."""
-        padding = (Fraction(0),) * (_reduction(self.order)[3] - len(self.numerator))
+        padding = (Fraction(0),) * (_reduction(self.order)[2] - len(self.numerator))
         return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
 
     def promoted(self, order: int) -> "CyclotomicElement":
@@ -260,30 +222,11 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
         raise PoleError(f"cot({shown(k)}*pi/{shown(n)}) is a pole")
     order = lcm(4, 2 * n)
     _check_order(order)
-    rem, m = _coth(k % n, n)
-    # zeta_n^j = zeta_M^(j*step), and multiplying by i shifts by M/4
-    step, quarter = order // n, order // 4
-    spread = [0] * (quarter + step * len(rem))
-    spread[quarter::step] = rem
-    return _element(order, _reduce_int_mod_phi(spread, order), m)
-
-
-def _coth(r: int, n: int) -> tuple[list[int], int]:
-    """m*(w + 1)/(w - 1) for w = zeta_n^r of order m, r not a multiple of n,
-    as (rem, m): rem the trimmed integer remainder mod Phi_n, empty at w = -1.
-    ``cot_exact`` is its one caller.
-    """
-    # 1/(w - 1) = (1/m) * sum_{j<m} j*w^j makes it (m - 1) + sum_{j=1}^{m-1}
-    # (2j - 1)*w^j, with no polynomial gcd per row.  For even n,
-    # zeta_n^(n/2) = -1 folds every exponent below n/2 before the division.
+    # m*i*X(w), m the order of w: m - 1 at i, 2j - 1 at i*w^j for 0 < j < m
+    r, quarter, step = k % n, order // 4, order // n
     m = n // gcd(n, r)
-    size = n // 2 if n % 2 == 0 else n
-    vec = [0] * size
-    vec[0] = m - 1
+    row = [0] * order
+    row[quarter] = m - 1
     for j in range(1, m):
-        e = j * r % n
-        if e < size:
-            vec[e] += 2 * j - 1
-        else:
-            vec[e - size] -= 2 * j - 1
-    return _reduce_int_mod_phi(vec, n), m
+        row[(quarter + j * r * step) % order] = 2 * j - 1
+    return _element(order, _reduce_int_mod_phi(row, order), m)

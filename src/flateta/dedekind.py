@@ -140,11 +140,10 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     return _cot_sum(beta % alpha, alpha)
 
 
-def _ramanujan(e: int) -> list[int]:
-    """Ramanujan's sum c_e(n), n = 0 .. e-1: mu(e/d)*d summed over the
-    divisors d of gcd(n, e).  Only squarefree e/d count, so d = e/q for q
-    a product of distinct primes of e, mu(q) = -1 to their number."""
-    squarefree, rest, p = [(1, 1)], e, 2  # (q, mu(q))
+def _squarefree(n: int) -> list[tuple[int, int]]:
+    """(q, mu(q)) for every squarefree q dividing n >= 1, rad(n) last;
+    mu(q) is -1 to the number of primes of q."""
+    squarefree, rest, p = [(1, 1)], n, 2
     while rest > 1:
         if p * p > rest:  # rest is prime
             p = rest
@@ -153,8 +152,14 @@ def _ramanujan(e: int) -> list[int]:
             while rest % p == 0:
                 rest //= p
         p += 1
+    return squarefree
+
+
+def _ramanujan(e: int) -> list[int]:
+    """Ramanujan's sum c_e(n), n = 0 .. e-1: mu(e/d)*d summed over the
+    divisors d of gcd(n, e).  Only squarefree e/d count, so d = e/q."""
     c = [0] * e
-    for q, mu in squarefree:
+    for q, mu in _squarefree(e):
         d = e // q
         c[::d] = [x + mu * d for x in c[::d]]
     return c

@@ -17,7 +17,7 @@ from flateta import (
     cot_exact,
     cyclotomic_polynomial,
 )
-from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi
+from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi, _reduction
 from flateta.dedekind import COT_ALPHA_MAX
 
 from helpers import embed_complex, embed_mp
@@ -69,7 +69,7 @@ class TestCyclotomicPolynomial:
 
 def _long_division(vec, order):
     # plain sparse long division mod the monic Phi_order, one leading term
-    # at a time: the oracle for the staged reduction
+    # at a time, with no fold: the oracle for the folded reduction
     phi = cyclotomic_polynomial(order)
     dd = len(phi) - 1
     rem = list(vec)
@@ -86,12 +86,14 @@ def _long_division(vec, order):
 
 
 class TestReduction:
-    # powers of two (no odd prime to tile with), 2 * prime (one-entry
-    # tiles), the Dedekind route's fields Q(zeta_alpha), odd ones among them
-    # (945 has three odd primes, so long division runs), and cot_exact's
+    # every order to 600, odd ones folding with y^N = 1 and even ones with
+    # y^(N/2) = -1, the Dedekind route's fields Q(zeta_alpha), and
+    # cot_exact's Q(zeta_M); after the fold, long division by Phi_3972
+    # (3972 = 4*3*331) runs 666 steps over 440 nonzero lower terms, the
+    # most of any field cot_exact reaches
     @pytest.mark.parametrize(
         "order",
-        [*range(1, 601), 945, 960, 997, 999, 1155, 1994, 1998, 2000, 2310, 3996, 4000],
+        [*range(1, 601), 945, 960, 997, 999, 1155, 1994, 1998, 2000, 2310, 3972, 3996, 4000],
     )
     def test_matches_long_division(self, order):
         rng = random.Random(order)
@@ -124,6 +126,17 @@ class TestFieldOrderCeiling:
         worker.join(timeout=1)
         assert not worker.is_alive()
         assert len(outcome) == 1 and "FIELD_ORDER_MAX" in outcome[0]
+
+    def test_slowest_field_answers_promptly(self):
+        # cot(pi/993) in Q(zeta_3972), the longest long division of any
+        # field cot_exact reaches (TestReduction), from an empty cache
+        _reduction.cache_clear()
+        outcome = []
+        worker = threading.Thread(target=lambda: outcome.append(cot_exact(1, 993)), daemon=True)
+        worker.start()
+        worker.join(timeout=1)
+        assert not worker.is_alive()
+        assert outcome[0].order == 3972
 
     def test_promotion_refused_before_spreading(self):
         wide = cot_exact(1, 997)  # in Q(zeta_3988), 1992 coefficients

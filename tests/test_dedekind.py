@@ -19,7 +19,13 @@ from flateta import (
     sawtooth,
 )
 from flateta.cyclotomic import _reduce_int_mod_phi
-from flateta.dedekind import COT_ALPHA_MAX, SAWTOOTH_ALPHA_MAX, _ramanujan, _traces
+from flateta.dedekind import (
+    COT_ALPHA_MAX,
+    SAWTOOTH_ALPHA_MAX,
+    _ramanujan,
+    _squarefree,
+    _traces,
+)
 
 
 def coprime_pairs(max_alpha, include_negative=True):
@@ -163,6 +169,27 @@ def _trace_of_power(j, e):
 @pytest.mark.parametrize("e", range(2, 61))
 def test_ramanujan_sums_are_traces_of_powers(e):
     assert _ramanujan(e) == [_trace_of_power(j, e) for j in range(e)]
+
+
+def _moebius(q):
+    primes, p = 0, 2
+    while q > 1:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            primes += 1
+        p += 1
+    return (-1) ** primes
+
+
+def test_squarefree_divisors_with_their_moebius_values():
+    # rad(n) comes last: cyclotomic_polynomial reads it from there
+    for n in range(1, 1001):
+        expected = [(q, _moebius(q)) for q in range(1, n + 1) if n % q == 0 and _moebius(q)]
+        pairs = _squarefree(n)
+        assert sorted(pairs) == expected, n
+        assert pairs[-1] == expected[-1], n
 
 
 @pytest.mark.parametrize("alpha", [*range(2, 61), 997, 999, 1000])

@@ -5,22 +5,25 @@ it runs the production entries, from the first ``import flateta`` on:
 
 * every argv of the CLI corpus (``corpus()`` in tests/test_corpus.py)
   through ``flateta.cli.run``, in process;
-* the library calls of both benchmark workloads, seed 1, made by
-  perfbench/worker.py itself: ``cli_mix``'s warm-up and one pass of its
-  operations with the public calls its trace mode replays, and
-  ``dedekind_sweep``'s trace mode, which stages every cold field through
-  ``cyclotomic_polynomial``, ``cot_exact`` and promoted coefficients;
+* the library calls of ``cli_mix``, seed 1, made by perfbench/worker.py
+  itself: its warm-up and one pass of its operations with the public
+  calls its trace mode replays;
 * a cold ``dedekind_cot`` for every coprime pair with alpha up to
-  ``ALPHA_MAX``, every cache cleared before each alpha.
+  ``ALPHA_MAX``, every cache cleared before each alpha;
+* last, ``dedekind_sweep``'s trace mode, seed 1, which stages every cold
+  field through ``cyclotomic_polynomial``, ``cot_exact`` and promoted
+  coefficients.
 
-It writes, per module of src/flateta, the functions never entered and,
-in the functions entered, the lines never run.  It exits 1 when a
-function that is never entered is not in ``ALLOWLIST``, or when an entry
-there names a function all of whose code ran: each entry is code that
-only tests reach, kept for the oracle test it names.  Line numbers
-follow the interpreter's line table, so a report is read against the
-CPython that wrote it.  A run takes about 6 s (CPython 3.11, x86-64);
-the report goes to stdout and each failure to stderr:
+It writes, per module of src/flateta, the functions never entered, the
+functions that only that last entry, the benchmark's staging, enters
+(the library itself does not need them) and, in the functions entered,
+the lines never run.  It exits 1 when a function that is never entered
+is not in ``ALLOWLIST``, or when an entry there names a function all of
+whose code ran: each entry is code that only tests reach, kept for the
+oracle test it names.  Line numbers follow the interpreter's line
+table, so a report is read against the CPython that wrote it.  A run
+takes about 4 s (CPython 3.11, x86-64); the report goes to stdout and
+each failure to stderr:
 
     python3 tools/reach.py > docs/reach.txt
 """
@@ -112,8 +115,9 @@ class Tracer:
         return local
 
 
-def run_entries() -> list[str]:
-    """Make every production call; return what was run, for the report."""
+def run_entries(tracer: Tracer) -> tuple[list[str], set]:
+    """Make every production call; return what was run, for the report,
+    and the code objects entered before the benchmark's staging."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import flateta
     from flateta import cli, dedekind_cot
@@ -128,9 +132,7 @@ def run_entries() -> list[str]:
     client.warm_up()
     ops = [spec["argv"] for spec in workloads.cli_ops(SEED, workloads.CLI_MIX_BLOCKS)]
     worker.run_cli_pass(client, ops, 0, len(ops), spans=worker.Spans(), replay=client.replay)
-    sweep = workloads.sweep_ops(SEED)
     caches = worker.discover_caches()
-    worker.trace_sweep(worker.Sweep(), sweep, 0, caches, str(Path(flateta.__file__).parent))
     pairs = 0
     for alpha in range(1, ALPHA_MAX + 1):
         worker.clear_caches(caches)
@@ -138,12 +140,16 @@ def run_entries() -> list[str]:
             if gcd(beta, alpha) == 1:
                 dedekind_cot(beta, alpha)
                 pairs += 1
+    before = set(tracer.ran)
+    sweep = workloads.sweep_ops(SEED)
+    worker.trace_sweep(worker.Sweep(), sweep, 0, caches, str(Path(flateta.__file__).parent))
     return [
         f"{len(argvs)} corpus argvs through flateta.cli.run",
         f"cli_mix, seed {SEED}: warm-up and {len(ops)} operations with their replayed calls",
-        f"dedekind_sweep, seed {SEED}: trace mode over {len(sweep)} calls",
         f"cold dedekind_cot for all {pairs} coprime pairs with alpha <= {ALPHA_MAX}",
-    ]
+        f"dedekind_sweep, seed {SEED}: trace mode over {len(sweep)} calls, "
+        "its staging of cold fields included",
+    ], before
 
 
 def _ranges(lines) -> str:
@@ -157,11 +163,12 @@ def _ranges(lines) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def report(entries: list[str], ran: dict) -> tuple[list[str], list[str]]:
+def report(entries: list[str], ran: dict, before: set) -> tuple[list[str], list[str]]:
     """The report's lines, and the problems that fail the check."""
     modules = {path.stem: functions(path) for path in sorted(PACKAGE.glob("*.py"))}
     every = [f for fs in modules.values() for f in fs]
     never = [f for f in every if f.codes[0] not in ran]
+    staged = [f for f in every if f.codes[0] in ran and f.codes[0] not in before]
     unrun = {f.name: f.lines - set().union(*(ran.get(code, ()) for code in f.codes))
              for f in every}
     problems = [f"{f.name} (line {f.line}) is never entered and not in the allowlist"
@@ -182,13 +189,18 @@ def report(entries: list[str], ran: dict) -> tuple[list[str], list[str]]:
         f"({sum(len(f.lines) for f in never)} lines); "
         f"{sum(len(unrun[f.name]) for f in every if f not in never)} lines never run "
         "in the functions entered",
+        f"{len(staged)} functions ({sum(len(f.lines) for f in staged)} lines) entered only "
+        "by dedekind_sweep's staging",
     ]
     for module, fs in modules.items():
         lines += ["", f"{module}.py: {len(fs)} functions"]
         for f in fs:
             if f in never:
                 lines.append(f"  never entered: {f.name} (line {f.line}, {len(f.lines)} lines)")
-            elif unrun[f.name]:
+            elif f in staged:
+                lines.append(f"  only dedekind_sweep's staging enters: {f.name} (line {f.line}, "
+                             f"{len(f.lines)} lines)")
+            if f not in never and unrun[f.name]:
                 lines.append(f"  lines never run in {f.name}: {_ranges(unrun[f.name])}")
             if f.name in ALLOWLIST and unrun[f.name]:
                 lines.append(f"    allowlisted: {ALLOWLIST[f.name]}")
@@ -199,10 +211,10 @@ def main() -> int:
     tracer = Tracer()
     sys.settrace(tracer)
     try:
-        entries = run_entries()
+        entries, before = run_entries(tracer)
     finally:
         sys.settrace(None)
-    lines, problems = report(entries, tracer.ran)
+    lines, problems = report(entries, tracer.ran, before)
     print("\n".join(lines))
     for problem in problems:
         print(f"reach: {problem}", file=sys.stderr)
