@@ -129,7 +129,7 @@ def _cmd_dedekind(args) -> _Result:
     )
 
 
-@lru_cache(maxsize=1)
+@lru_cache
 def _catalog() -> _Result:
     """The catalog command's result, a per-process constant built on the
     first call: its rows and lines are its own, so a caller that mutates

@@ -102,7 +102,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _reduction(order: int) -> tuple:
     """(n, s, deg Phi_order, Phi's nonzero lower terms), cached per field:
     Phi_N divides y^n - s, n = N/2 and s = -1 for even N, n = N and s = 1

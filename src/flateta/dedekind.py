@@ -165,7 +165,7 @@ def _ramanujan(e: int) -> list[int]:
     return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _traces(alpha: int) -> list[int]:
     """H[n] sums D_e[n/s]/e = sum_{i<n/s} (c_e(i) + c_e(i+1)) over e | alpha,
     e > 1, s = alpha/e | n.  A list, read only: tuples raised the sweep
@@ -179,7 +179,7 @@ def _traces(alpha: int) -> list[int]:
     return h
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _cot_sum(beta: int, alpha: int) -> Fraction:
     h = _traces(alpha)
     total = sum((alpha - 2 * k) * h[k * beta % alpha] for k in range(1, (alpha + 1) // 2))

@@ -22,7 +22,7 @@ _DECIMAL = Context(traps=[])  # reads decimal text exactly, and an exponent past
 _INFINITE = 2**1024 - 2**970  # the least value that rounds to an infinite float
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _pi_squared(bits: int) -> tuple[int, int]:
     """Integers lo < pi^2 * 4^bits < hi, by pi = 16*atan(1/5) - 4*atan(1/239).
     Term k of atan(1/x) * 2^bits is taken by nested floor divisions, which give its

@@ -1,24 +1,28 @@
 """Dedekind sums: sawtooth oracle, cotangent path, and their identities."""
 
+import io
 import tracemalloc
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flateta import (
     DomainError,
+    cli,
     cot_exact,
     cyclotomic,
-    cyclotomic_polynomial,
     dedekind,
     dedekind_cot,
     dedekind_sawtooth,
+    gaussbonnet,
+    run,
     sawtooth,
+    volume_from_chi,
 )
-from flateta.cyclotomic import _reduce_int_mod_phi
 from flateta.dedekind import (
     COT_ALPHA_MAX,
     SAWTOOTH_ALPHA_MAX,
@@ -155,20 +159,20 @@ class TestCotangentSum:
             dedekind_cot(1, 10**9)
 
 
-def _trace_of_power(j, e):
-    # Tr(w^j) over Q(zeta_e) as the trace of multiplication by w^j on the
-    # power basis: the sum of the diagonal entries y^(i+j) mod Phi_e at y^i
-    degree = len(cyclotomic_polynomial(e)) - 1
-    total = 0
-    for i in range(degree):
-        rem = _reduce_int_mod_phi([0] * (i + j) + [1], e)
-        total += rem[i] if i < len(rem) else 0
-    return total
+def _trace_of_power(n, e):
+    # Tr(w^n) over Q(zeta_e) from its definition: the sum of the conjugates
+    # zeta_e^(j*n), gcd(j, e) = 1, whose imaginary parts cancel in pairs
+    with mpmath.workdps(50):
+        total = mpmath.fsum(mpmath.cospi(mpmath.mpf(2 * j * n) / e)
+                            for j in range(e) if gcd(j, e) == 1)
+        return int(mpmath.nint(total))
 
 
 @pytest.mark.parametrize("e", range(2, 61))
 def test_ramanujan_sums_are_traces_of_powers(e):
-    assert _ramanujan(e) == [_trace_of_power(j, e) for j in range(e)]
+    traces = [_trace_of_power(n, e) for n in range(e)]
+    assert _ramanujan(e) == traces
+    assert _sterneck(e) == traces
 
 
 def _moebius(q):
@@ -183,6 +187,15 @@ def _moebius(q):
     return (-1) ** primes
 
 
+def _sterneck(e):
+    # c_e(n), n = 0 .. e-1, by von Sterneck's formula mu(m)*phi(e)/phi(m),
+    # m = e/gcd(n, e) (Hardy-Wright, section 16.6), free of _ramanujan
+    divisors = [m for m in range(1, e + 1) if e % m == 0]
+    mu = {m: _moebius(m) for m in divisors}
+    phi = {m: sum(gcd(j, m) == 1 for j in range(m)) for m in divisors}
+    return [mu[m] * phi[e] // phi[m] for m in (e // gcd(n, e) for n in range(e))]
+
+
 def test_squarefree_divisors_with_their_moebius_values():
     # rad(n) comes last: cyclotomic_polynomial reads it from there
     for n in range(1, 1001):
@@ -194,22 +207,21 @@ def test_squarefree_divisors_with_their_moebius_values():
 
 @pytest.mark.parametrize("alpha", [*range(2, 61), 997, 999, 1000])
 def test_trace_vector_is_the_trace_of_a_times_a_power(alpha):
-    # D_e[j] = Tr(A(w) * w^j), A = e*(w + 1)/(w - 1) with A_0 = e and
-    # A_j = 2j: reduce A * y^j mod Phi_e and take the trace through c_e
-    # (pinned to the power-basis trace above); _traces keeps at n the sum
-    # of D_e[n/s] / e over the divisors e > 1 with s = alpha/e dividing n
+    # D_e[k] = Tr(A(w) * w^k) = sum_i A_i * c_e(i + k), A = e*(w + 1)/(w - 1)
+    # with A_0 = e and A_i = 2i, summed term by term from that definition,
+    # not by the running sum _traces uses; _traces keeps at n the sum of
+    # D_e[n/s] / e over the divisors e > 1 with s = alpha/e dividing n
     h = _traces(alpha)
     assert len(h) == alpha
     expected = [0] * alpha
     for e in range(2, alpha + 1):
         if alpha % e == 0:
-            c = _ramanujan(e)
-            a = [e] + [2 * j for j in range(1, e)]
-            for j in range(e):
-                rem = _reduce_int_mod_phi([0] * j + a, e)
-                trace = sum(r * c[i] for i, r in enumerate(rem))
-                assert trace % e == 0, (e, j)
-                expected[j * (alpha // e)] += trace // e
+            c = _sterneck(e)
+            a = [e] + [2 * i for i in range(1, e)]
+            for k in range(e):
+                trace = sum(a[i] * c[(i + k) % e] for i in range(e))
+                assert trace % e == 0, (e, k)
+                expected[k * (alpha // e)] += trace // e
     assert h == expected
 
 
@@ -256,13 +268,37 @@ def test_cold_sum_near_the_ceiling_stays_small(alpha):
     assert peak < 1 << 20
 
 
+def test_walk_over_every_alpha_keeps_retained_memory_small():
+    # s(1, alpha) = (alpha - 1)(alpha - 2)/(12 alpha) for every alpha the
+    # route accepts, one new set-up each; the caches are bounded, so what
+    # stays after the walk is their last entries, not one per alpha
+    dedekind._cot_sum.cache_clear()
+    dedekind._traces.cache_clear()
+    tracemalloc.start()
+    try:
+        for alpha in range(1, COT_ALPHA_MAX + 1):
+            assert dedekind_cot(1, alpha) == Fraction((alpha - 1) * (alpha - 2), 12 * alpha)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 8 << 20
+
+
+def _fill_caches():
+    out = io.StringIO()
+    assert run(["catalog", "--json"], stdout=out) == 0
+    return dedekind_cot(5, 24), cot_exact(5, 24), volume_from_chi(1), out.getvalue()
+
+
 @pytest.mark.parametrize(
     "module, names",
     [
+        (cli, {"_catalog"}),
         (cyclotomic, {"_reduction"}),
         (dedekind, {"_cot_sum", "_traces"}),
+        (gaussbonnet, {"_pi_squared"}),
     ],
-    ids=["cyclotomic", "dedekind"],
+    ids=["cli", "cyclotomic", "dedekind", "gaussbonnet"],
 )
 def test_module_caches_clear_and_report(module, names):
     caches = {
@@ -271,12 +307,13 @@ def test_module_caches_clear_and_report(module, names):
         if hasattr(obj, "__wrapped__") and obj.__module__ == module.__name__
     }
     assert set(caches) == names
-    dedekind_cot(5, 24)
-    cot_exact(5, 24)
+    before = _fill_caches()
     for fn in caches.values():
+        assert fn.cache_info().maxsize is not None  # no memo grows without bound
         assert fn.cache_info().currsize > 0
         fn.cache_clear()
         assert fn.cache_info().currsize == 0
+    assert _fill_caches() == before
     assert dedekind_cot(5, 24) == dedekind_sawtooth(5, 24)
     assert cot_exact(5, 24) == cot_exact(29, 24)
 

@@ -2,8 +2,8 @@
 
 Computes s(beta, alpha) for every alpha = 1 .. COT_ALPHA_MAX and every
 residue beta in [0, alpha) coprime to alpha, on both routes of the
-``src/`` of this tree: ``dedekind_cot`` from a cold set-up (every cache
-of ``flateta.dedekind`` cleared before each alpha) and the sawtooth
+``src/`` of this tree: ``dedekind_cot``, whose set-up for each alpha
+is cold because each alpha is a new key of its caches, and the sawtooth
 oracle ``dedekind_sawtooth``.  It prints every pair whose routes
 disagree, then the sha256 of the lines ``alpha beta s``, in order of
 alpha and then beta, each ended by a newline, and compares it with the
@@ -30,12 +30,9 @@ from flateta import dedekind  # noqa: E402
 
 
 def main() -> int:
-    caches = [f for f in vars(dedekind).values() if callable(getattr(f, "cache_clear", None))]
     digest, pairs, disagree = hashlib.sha256(), 0, 0
     start = time.monotonic()
     for alpha in range(1, dedekind.COT_ALPHA_MAX + 1):
-        for cache in caches:
-            cache.cache_clear()
         for beta in range(alpha):
             if gcd(beta, alpha) != 1:
                 continue
