@@ -11,7 +11,6 @@ and the orbifold Euler characteristic of the base vanish.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -123,34 +122,34 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 #   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
 #
 # b defaults to 0; whitespace (re's \s, which is str.isspace()) is ignored
-# between tokens.  _WELL_FORMED is these lines as one pattern, and
-# parse_descriptor accepts a text it fully matches in one step.  Every
-# other text, and one whose integer is past int()'s digit limit, goes to
-# _walk, which alone decides each error: _TOKEN reads one token at a time
-# after any whitespace (an integer in group 2, a base, any other single
-# character, or the empty end of the text) and _walk mirrors the lines
-# above as take(...) sequences of tokens.  Error offsets are UTF-8 byte
-# offsets of the failing token.
+# between tokens.  _WELL_FORMED is these lines as one pattern whose
+# whitespace runs and integers are possessive (a failing match never
+# backtracks into a long run), and parse_descriptor accepts a text it
+# fully matches in one step.  Every other text, and one with an integer
+# _integer refuses, goes to _walk, which alone decides each error: _TOKEN
+# reads one token at a time after any whitespace (an integer in group 2,
+# a base, any other single character, or the empty end of the text) and
+# _walk mirrors the lines above as take(...) sequences of tokens.  Error
+# offsets are UTF-8 byte offsets of the failing token.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
-
-
-def _atomic(template: str) -> re.Pattern:
-    """Compile template with each '_' read as whitespace and each '#' as
-    an integer, both taken whole: a lookahead captures the longest run and
-    a backreference consumes it, so a failing match never backtracks into
-    a long run (possessive quantifiers need Python 3.11).  These captures
-    are the pattern's only groups."""
-    runs = {"_": r"\s*", "#": r"[+-]?[0-9]+"}
-    groups = itertools.count(1)
-    return re.compile(
-        re.sub(r"[_#]", lambda m: rf"(?=({runs[m[0]]}))\{next(groups)}", template)
-    )
-
-
-_WELL_FORMED = _atomic(r"_(?:S2|T2)_;_(?:b_=_#_;_)?(?:\(_#_,_#_\)_)*")
+_WELL_FORMED = re.compile(
+    r"""\s*+ (?:S2|T2) \s*+ ; \s*+
+        (?: b \s*+ = \s*+ [+-]?+[0-9]++ \s*+ ; \s*+ )?+
+        (?: \( \s*+ [+-]?+[0-9]++ \s*+ , \s*+ [+-]?+[0-9]++ \s*+ \) \s*+ )*+""",
+    re.VERBOSE,
+)
 _VALUES = re.compile(r"S2|T2|[+-]?[0-9]+")  # in well-formed text: the base, then the integers
+
+
+def _integer(numeral: str) -> int:
+    """int(numeral); ValueError, before int() runs, past int()'s digit
+    limit, or past CPython's default one when the limit is off."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if len(numeral.lstrip("+-")) > limit:
+        raise ValueError("integer has too many digits")
+    return int(numeral)
 
 
 def parse_descriptor(text: str) -> SeifertData:
@@ -161,8 +160,8 @@ def parse_descriptor(text: str) -> SeifertData:
     if _WELL_FORMED.fullmatch(text):
         base, *values = _VALUES.findall(text)
         try:
-            values = list(map(int, values))
-        except ValueError:  # past int()'s digit limit: _walk names the integer
+            values = list(map(_integer, values))
+        except ValueError:  # past the digit limit: _walk names the integer
             return _walk(text)
         b = values.pop(0) if "b" in text else 0
         return SeifertData(base, b, tuple(map(FiberPair, values[::2], values[1::2])))
@@ -187,8 +186,8 @@ def _walk(text: str) -> SeifertData:
                 if token[2] is None:
                     fail("expected an integer")
                 try:
-                    value = int(token[2])
-                except ValueError:  # past int()'s digit limit
+                    value = _integer(token[2])
+                except ValueError:
                     fail("integer has too many digits")
                 values.append(value)
             elif token[1] != want:

@@ -145,9 +145,11 @@ class TestParseDescriptor:
             ("S2;", " ", "x", 3 + 10**7),
             ("S2;", "\u3000", "x", 3 + 3 * 10**7),
             ("S2;(", "1", "", 4),  # past int()'s digit limit
+            ("S2;b=", "1", ";", 5),  # well-formed, with an integer past the limit
+            ("S2;(2,", "1", ")", 6),
             ("S2;(2,1)", " ", "(", 8 + 10**7 + 1),  # the end of the text
         ],
-        ids=["ascii", "ideographic", "digits", "space_before_pair"],
+        ids=["ascii", "ideographic", "digits", "b_digits", "beta_digits", "space_before_pair"],
     )
     def test_long_whitespace_run_fails_promptly(self, head, run, tail, offset):
         # a scanner that steps over whitespace one character at a time in

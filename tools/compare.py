@@ -16,7 +16,7 @@ left registered in the repository.  Only the standard library is used, so
 any installed CPython can run it:
 
     python3 tools/compare.py HEAD~1
-    python3 tools/compare.py HEAD~1 --count 200000 --python python3.10 python3.13
+    python3 tools/compare.py HEAD~1 --count 200000 --python python3.11 python3.13
 
 The exit status is 0 when no input differs, 1 otherwise.
 """

@@ -9,7 +9,8 @@ it runs the production entries, from the first ``import flateta`` on:
   itself: its warm-up and one pass of its operations with the public
   calls its trace mode replays;
 * a cold ``dedekind_cot`` for every coprime pair with alpha up to
-  ``ALPHA_MAX``, every cache cleared before each alpha;
+  ``ALPHA_MAX``, the caches cleared once before the walk (each alpha
+  is a new key, so it starts cold);
 * last, ``dedekind_sweep``'s trace mode, seed 1, which stages every cold
   field through ``cyclotomic_polynomial``, ``cot_exact`` and promoted
   coefficients.
@@ -63,7 +64,7 @@ class Function:
     inside it, whose lines count as its own."""
 
     def __init__(self, module: str, code):
-        self.name = f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
+        self.name = f"{module}.{code.co_qualname}"
         self.line = code.co_firstlineno
         self.codes = [code]
         self.lines: set[int] = set()
@@ -133,9 +134,9 @@ def run_entries(tracer: Tracer) -> tuple[list[str], set]:
     ops = [spec["argv"] for spec in workloads.cli_ops(SEED, workloads.CLI_MIX_BLOCKS)]
     worker.run_cli_pass(client, ops, 0, len(ops), spans=worker.Spans(), replay=client.replay)
     caches = worker.discover_caches()
+    worker.clear_caches(caches)
     pairs = 0
     for alpha in range(1, ALPHA_MAX + 1):
-        worker.clear_caches(caches)
         for beta in range(alpha):
             if gcd(beta, alpha) == 1:
                 dedekind_cot(beta, alpha)
