@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .dedekind import dedekind_cot, dedekind_sawtooth
+from .dedekind import _cot_sum, dedekind_cot, dedekind_sawtooth
 from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError, shown
 from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
 from .gaussbonnet import TOLERANCE, chi_from_volume, real, volume_from_chi
@@ -114,15 +114,19 @@ def _cmd_obstruct(args) -> _Result:
 
 
 def _cmd_dedekind(args) -> _Result:
-    # The cotangent route first: it refuses alpha above its ceiling before
-    # the O(alpha) sawtooth would run.
-    cot = dedekind_cot(args.beta, args.alpha)
+    # The answer first: it refuses alpha above its ceiling before the
+    # O(alpha) routes that check it run.
+    s = dedekind_cot(args.beta, args.alpha)
     saw = dedekind_sawtooth(args.beta, args.alpha)
+    cot = _cot_sum(args.beta % args.alpha, args.alpha)
+    if not s == saw == cot:
+        raise RuntimeError(f"internal error: Dedekind routes disagree at ({args.beta}, "
+                           f"{args.alpha}): {s}, sawtooth {saw}, cotangent {cot}")
     return _Result(
         lambda: {"beta": args.beta, "alpha": args.alpha, "sawtooth": saw, "cotangent": cot},
-        lambda: [str(saw)],
+        lambda: [str(s)],
         lambda: [
-            f"s({args.beta},{args.alpha}) = {saw}",
+            f"s({args.beta},{args.alpha}) = {s}",
             f"  sawtooth path:  {saw}",
             f"  cotangent path: {cot}",
         ],

@@ -1,26 +1,52 @@
-"""Exact Dedekind sums by two independent routes.
+"""Exact Dedekind sums by three independent routes.
+
+``dedekind_cot`` answers, through integer reciprocity.  Write
+b/alpha = [0; a_1, ..., a_n], b = beta mod alpha, from the Euclid loop
+on (alpha, b), and A = a_1 - a_2 + ... +- a_n.  Then
+
+    12*alpha*s(beta, alpha) = alpha*(A - 3) + b + b^-1    (n odd),
+                              alpha*(A - 1) + b + b^-1    (n even),
+
+the Barkan-Hickerson-Knuth form of the reciprocity law (Knuth, TAOCP
+vol. 2, section 3.3.3; Hickerson, J. reine angew. Math. 290, 1977;
+Rademacher-Grosswald, *Dedekind Sums*, ch. 3), b^-1 the inverse of b
+mod alpha read from the denominators of the last two convergents.  It
+is O(log alpha) integer steps with no per-alpha set-up.
+``_reciprocity`` certifies every total before it is returned, by two
+congruences whose code shares nothing with the loop
+(Rademacher-Grosswald, ch. 3):
+
+    12*alpha*s = b + b^-1  (mod alpha), b^-1 from pow(b, -1, alpha);
+    12*alpha*s = alpha + 1 - 2*(b|alpha)  (mod 8) for odd alpha, and for
+    even alpha (so odd b), by the reciprocity law and the odd case at
+    (alpha, b), 12*alpha*s = b*(alpha^2 + b^2 + 1 - 4*alpha*b - alpha
+    + 2*alpha*(alpha|b))  (mod 8),
+
+(.|.) the Jacobi symbol; anything else is an internal error.  A moved
+by d still passes both when 8 | d*alpha, so the tests and
+tools/dedekind_domain.py, which compare the routes, stay the full
+guard.
 
 ``dedekind_sawtooth`` is the elementary arithmetic form
 
-    s(beta, alpha) = sum_{k=1}^{alpha-1} ((k/alpha)) ((k*beta/alpha))
+    s(beta, alpha) = sum_{k=1}^{alpha-1} ((k/alpha)) ((k*beta/alpha)),
 
-and ``dedekind_cot`` is the cotangent form
+deliberately kept free of any shared machinery so that it can serve as
+an oracle.  It sums the alpha - 1 products as integers over one
+denominator 4*alpha^2, and tests pin it to the sum of ``sawtooth``
+products itself; it is refused above ``SAWTOOTH_ALPHA_MAX``.
+
+``_cot_sum`` is the paper's cotangent form
 
     s(beta, alpha) = (1/(4*alpha)) * sum_{k=1}^{alpha-1}
                         cot(k*pi*beta/alpha) * cot(k*pi/alpha)
 
-evaluated exactly as a sum of Galois traces.  The two must agree on every
-coprime pair; the sawtooth route is deliberately kept free of any shared
-machinery so it can serve as an oracle for the cotangent route.  It sums
-the alpha - 1 products as integers over one denominator 4*alpha^2, and
-tests pin it to the sum of ``sawtooth`` products itself; it is refused
-above ``SAWTOOTH_ALPHA_MAX``.
-
-The cotangent route.  With X(w) = (w + 1)/(w - 1), cot(k*pi/alpha) =
-i*X(zeta_alpha^k), so each term is -X(w)*X(w^beta), w = zeta_alpha^k.
-Group the k by e = alpha/gcd(k, alpha): w then runs once over the
-primitive e-th roots of unity, so each group is the trace from Q(zeta_e)
-to Q of X(w)*X(w^beta) (Rademacher-Grosswald, *Dedekind Sums*, ch. 2;
+evaluated exactly as a sum of Galois traces; the ``dedekind`` command
+prints it as its cotangent path.  With X(w) = (w + 1)/(w - 1),
+cot(k*pi/alpha) = i*X(zeta_alpha^k), so each term is -X(w)*X(w^beta),
+w = zeta_alpha^k.  Group the k by e = alpha/gcd(k, alpha): w then runs
+once over the primitive e-th roots of unity, so each group is the trace
+from Q(zeta_e) to Q of X(w)*X(w^beta) (Rademacher-Grosswald, ch. 2;
 Washington, *Introduction to Cyclotomic Fields*, ch. 2).  Since
 1/(w - 1) = (1/e) * sum_{j<e} j*w^j and 1 + w + ... + w^(e-1) = 0,
 e*X(w) = A(w) with A_0 = e and A_j = 2j (j >= 1), and
@@ -45,10 +71,8 @@ H is odd too, and ``_cot_sum`` is one pass of ceil(alpha/2) - 1 terms,
     s(beta, alpha) = (1/(2*alpha^2)) * sum_{1 <= k < alpha/2}
                         (alpha - 2k) * H[k*beta mod alpha],
 
-and certifies every answer before it is returned: 12*alpha*s must be an
-integer congruent to beta + beta^-1 mod alpha (Rademacher-Grosswald,
-ch. 3), anything else is an internal error.  The route is refused above
-``COT_ALPHA_MAX``.
+certified as it is computed: 12*alpha*s must be an integer congruent to
+beta + beta^-1 mod alpha, anything else is an internal error.
 """
 
 from __future__ import annotations
@@ -88,9 +112,10 @@ def _check_pair(beta: int, alpha: int) -> None:
                           "Dedekind sums need coprime arguments")
 
 
-# Largest alpha the cotangent route accepts.  Set-up costs sigma(alpha)
-# and a sum ceil(alpha/2) - 1 terms: a cold alpha = 997 takes about 0.2 ms
-# (README's table), so the ceiling is the ``dedekind`` command's contract.
+# Largest alpha that dedekind_cot and the ``dedekind`` command accept.  No
+# longer a cost bound (the answer takes O(log alpha) steps), but the
+# command's contract: it prints the trace and sawtooth routes beside the
+# answer, and answering a larger alpha changes its output.
 COT_ALPHA_MAX = 1000
 
 
@@ -122,14 +147,12 @@ def dedekind_sawtooth(beta: int, alpha: int) -> Fraction:
 
 
 def dedekind_cot(beta: int, alpha: int) -> Fraction:
-    """Dedekind sum through exact traces of cotangent products.
+    """Dedekind sum s(beta, alpha), the value of the cotangent form.
 
-    The summand has period alpha in beta, which the implementation
-    exploits; the arithmetic is one integer pass over half of alpha's
-    summed trace vector, and every total is certified
-    (12*alpha*s an integer congruent to beta + 1/beta mod alpha) before
-    being returned.  alpha above COT_ALPHA_MAX is refused with
-    DomainError.
+    Answered by integer reciprocity in O(log alpha) steps with no
+    per-alpha set-up, every total certified by two congruences (mod
+    alpha and mod 8) before being returned.  alpha above COT_ALPHA_MAX
+    is refused with DomainError.
     """
     _check_pair(beta, alpha)
     if alpha > COT_ALPHA_MAX:
@@ -137,7 +160,55 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
             f"alpha = {shown(alpha)} is above {COT_ALPHA_MAX}, the largest alpha "
             "the cyclotomic Dedekind route accepts"
         )
-    return _cot_sum(beta % alpha, alpha)
+    return _reciprocity(beta % alpha, alpha)
+
+
+def _continued_fraction(b: int, alpha: int) -> tuple[int, bool, int]:
+    """For 0 <= b < alpha coprime, b/alpha = [0; a_1, ..., a_n]: the
+    alternating sum a_1 - a_2 + ... +- a_n, whether n is odd, and the
+    inverse of b mod alpha, since b*q_(n-1) = (-1)^(n-1) mod alpha for
+    q_k the convergents' denominators (q_n = alpha)."""
+    x, y, total, odd, previous, current = alpha, b, 0, False, 0, 1
+    while y:
+        a, r = divmod(x, y)
+        x, y, total, odd = y, r, a - total, not odd
+        previous, current = current, a * current + previous
+    # total is a_n - a_(n-1) + ... +- a_1
+    return (total, True, previous) if odd else (-total, False, alpha - previous)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd n > 0 coprime to a (Cohen, *A Course
+    in Computational Algebraic Number Theory*, algorithm 1.4.10)."""
+    a, symbol = a % n, 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                symbol = -symbol
+        if a & n & 3 == 3:
+            symbol = -symbol
+        a, n = n % a, a
+    return symbol
+
+
+@lru_cache
+def _reciprocity(b: int, alpha: int) -> Fraction:
+    """s(b, alpha) for 0 <= b < alpha coprime, by the Barkan-Hickerson-Knuth
+    form, certified (the module docstring); any alpha >= 1."""
+    total, odd, inverse = _continued_fraction(b, alpha)
+    twelve = alpha * (total - 3 if odd else total - 1) + b + inverse
+    if alpha & 1:
+        eight = alpha + 1 - 2 * _jacobi(b, alpha)
+    else:  # b is odd
+        eight = b * (alpha * alpha + b * b + 1 - 4 * alpha * b - alpha + 2 * alpha * _jacobi(alpha, b))
+    # 12*alpha*s: congruent to b + 1/b mod alpha and to Rademacher's value mod 8
+    if (twelve - b - pow(b, -1, alpha)) % alpha or (twelve - eight) & 7:
+        raise RuntimeError(
+            "internal error: reciprocity Dedekind sum failed certification "
+            f"for ({b}, {alpha})"
+        )
+    return Fraction(twelve, 12 * alpha)
 
 
 def _squarefree(n: int) -> list[tuple[int, int]]:
@@ -179,8 +250,9 @@ def _traces(alpha: int) -> list[int]:
     return h
 
 
-@lru_cache
 def _cot_sum(beta: int, alpha: int) -> Fraction:
+    """s(beta, alpha) by the cotangent form, one pass over alpha's trace
+    vector; the ``dedekind`` command's cotangent path."""
     h = _traces(alpha)
     total = sum((alpha - 2 * k) * h[k * beta % alpha] for k in range(1, (alpha + 1) // 2))
     # 12*alpha*s = 6*total/alpha: an integer, congruent to beta + 1/beta

@@ -8,8 +8,11 @@ A refusal shows a value only through ``shown``: a caller's value by its
 repr, a number the library computed by its str, an int past Python's
 int-to-str digit limit (alone or as a Fraction's part) by its sign and
 bit length, and anything else that cannot be formatted as ``<TypeName>``.
+``digit_limit`` is the number of decimal digits the library reads and
+writes.
 """
 
+import sys
 from fractions import Fraction
 
 
@@ -75,3 +78,10 @@ def shown(value, form=repr) -> str:
             return f"<{type(value).__name__}>"
         num, den = shown(value.numerator), shown(value.denominator)
         return f"Fraction({num}, {den})" if form is repr else f"{num}/{den}".removesuffix("/1")
+
+
+def digit_limit() -> int:
+    """int()'s int-to-str digit limit, CPython's default one when the limit
+    is off: the most decimal digits text the library reads or writes may
+    give one number."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits

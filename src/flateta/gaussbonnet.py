@@ -8,13 +8,12 @@ coefficient of pi^2; every verdict and rendered digit is worked out on integers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, shown
+from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, digit_limit, shown
 
 LATTICE_COEFFICIENT = Fraction(4, 3)  # one unit of Euler characteristic is (4/3)*pi^2 of volume
 TOLERANCE = Fraction(1, 10**6)  # the default of chi_from_volume and of --tol
@@ -89,7 +88,7 @@ def real(value, name: str = "value") -> Fraction | float:
     """``value`` exactly, or as an infinite or nan float: text float() reads and a Decimal
     digit by digit, an int, float or Fraction as it is, anything else through float().
     DomainError naming ``name`` when float() refuses it, and for a decimal of more than
-    sys.get_int_max_str_digits() digits written out (4300 with the limit off)."""
+    digit_limit() digits written out."""
     try:
         if not isinstance(value, (int, Fraction)):
             number = float(value)  # refuses text with a misplaced "_", which Decimal() drops
@@ -101,7 +100,7 @@ def real(value, name: str = "value") -> Fraction | float:
         return value
     if isinstance(value, Decimal):
         _, digits, exponent = value.as_tuple()
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        limit = digit_limit()
         if limit < max(len(digits), -exponent) + max(exponent, 0):
             raise DomainError(f"{name} has more than {limit} digits")
     value = value if type(value) is Fraction else Fraction(value)

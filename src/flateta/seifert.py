@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import enum
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DescriptorSyntaxError, DomainError, ValidationError, shown
+from .errors import DescriptorSyntaxError, DomainError, ValidationError, digit_limit, shown
 
 
 class BaseSurface(enum.Enum):
@@ -144,10 +143,8 @@ _VALUES = re.compile(r"S2|T2|[+-]?[0-9]+")  # in well-formed text: the base, the
 
 
 def _integer(numeral: str) -> int:
-    """int(numeral); ValueError, before int() runs, past int()'s digit
-    limit, or past CPython's default one when the limit is off."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if len(numeral.lstrip("+-")) > limit:
+    """int(numeral); ValueError, before int() runs, past digit_limit()."""
+    if len(numeral.lstrip("+-")) > digit_limit():
         raise ValueError("integer has too many digits")
     return int(numeral)
 
@@ -207,16 +204,21 @@ def _walk(text: str) -> SeifertData:
 
 
 def render_descriptor(s: SeifertData) -> str:
-    """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s."""
+    """Canonical descriptor text; parse_descriptor(render_descriptor(s)) == s.
+    An integer of more than digit_limit() digits, which parse_descriptor
+    would refuse, is refused here, whether or not str() could write it."""
     validate(s)
-    parts = [s.base.value, ";"]
+    limit = digit_limit()
     try:
-        if s.b:
-            parts.append(f"b={s.b};")
-        parts.extend(f"({f.alpha},{f.beta})" for f in s.fibers)
-    except ValueError:  # an int past sys.get_int_max_str_digits() decimal digits
+        text = "".join([s.base.value, ";", f"b={s.b};" if s.b else "",
+                        *(f"({f.alpha},{f.beta})" for f in s.fibers)])
+    except ValueError:  # an int past the int-to-str limit in force
+        text = None
+    if text is None or len(text) > limit:  # else no integer has limit digits
         named = [("b", s.b)] + [(f"fibers[{i}]: {k}", v) for i, f in enumerate(s.fibers)
                                 for k, v in (("alpha", f.alpha), ("beta", f.beta))]
-        name = next(k for k, v in named if abs(v) >= 10 ** sys.get_int_max_str_digits())
-        raise ValidationError(f"{name} has too many digits to render") from None
-    return "".join(parts)
+        bound = 10**limit
+        name = next((k for k, v in named if abs(v) >= bound), None)
+        if name is not None:
+            raise ValidationError(f"{name} has too many digits to render")
+    return text

@@ -24,6 +24,7 @@ from flateta import (
     volume_from_chi,
     chi_from_volume,
 )
+from flateta.dedekind import _cot_sum
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -64,12 +65,16 @@ def test_criterion_3_cotangent_path_matches_sawtooth_oracle():
             if gcd(beta, alpha) != 1:
                 continue
             pairs += 1
-            if dedekind_cot(beta, alpha) != dedekind_sawtooth(beta, alpha):
-                mismatches.append((beta, alpha))
+            oracle = dedekind_sawtooth(beta, alpha)
+            if dedekind_cot(beta, alpha) != oracle:
+                mismatches.append((beta, alpha, "answer"))
+            if _cot_sum(beta % alpha, alpha) != oracle:
+                mismatches.append((beta, alpha, "cot"))
     elapsed = time.perf_counter() - start
     ok = not mismatches and pairs >= 2000 and elapsed < 60.0
     _report(
-        f"criterion 3: cot path == sawtooth oracle on {pairs} pairs ({elapsed:.1f}s < 60s)",
+        f"criterion 3: answer and cot path == sawtooth oracle on {pairs} pairs "
+        f"({elapsed:.1f}s < 60s)",
         ok,
     )
 
@@ -85,6 +90,8 @@ def test_criterion_4_dedekind_reciprocity():
                 Fraction(alpha, beta) + Fraction(beta, alpha) + Fraction(1, alpha * beta)
             )
             if dedekind_cot(beta, alpha) + dedekind_cot(alpha, beta) != rhs:
+                failures.append((beta, alpha, "answer"))
+            if _cot_sum(beta, alpha) + _cot_sum(alpha % beta, beta) != rhs:
                 failures.append((beta, alpha, "cot"))
             if dedekind_sawtooth(beta, alpha) + dedekind_sawtooth(alpha, beta) != rhs:
                 failures.append((beta, alpha, "sawtooth"))

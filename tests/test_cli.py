@@ -595,6 +595,24 @@ class TestDedekindCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    def test_three_routes_agree_so_the_disagreement_error_is_never_reached(self):
+        # every coprime pair with alpha <= 60 and |beta| <= alpha; the
+        # whole domain is tools/dedekind_domain.py's
+        for alpha in range(1, 61):
+            for beta in range(-alpha, alpha + 1):
+                if gcd(beta, alpha) == 1:
+                    code, out, err = invoke("dedekind", str(beta), str(alpha), "--json")
+                    payload = json.loads(out)
+                    assert (code, err) == (0, ""), (beta, alpha)
+                    assert payload["sawtooth"] == payload["cotangent"], (beta, alpha)
+
+    @pytest.mark.parametrize("route", ["dedekind_sawtooth", "_cot_sum"])
+    def test_a_disagreeing_route_is_an_internal_error(self, monkeypatch, route):
+        # the check is live: a route made to disagree stops the command
+        monkeypatch.setattr(cli, route, lambda beta, alpha: Fraction(1, 3))
+        with pytest.raises(RuntimeError, match=r"internal error: Dedekind routes disagree"):
+            invoke("dedekind", "3", "7")
+
 
 class TestCatalogCommand:
     def test_lists_all_six(self):

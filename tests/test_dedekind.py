@@ -1,4 +1,5 @@
-"""Dedekind sums: sawtooth oracle, cotangent path, and their identities."""
+"""Dedekind sums: the reciprocity answer, the sawtooth oracle, the cotangent
+trace route, and their identities."""
 
 import io
 import tracemalloc
@@ -26,7 +27,10 @@ from flateta import (
 from flateta.dedekind import (
     COT_ALPHA_MAX,
     SAWTOOTH_ALPHA_MAX,
+    _cot_sum,
+    _jacobi,
     _ramanujan,
+    _reciprocity,
     _squarefree,
     _traces,
 )
@@ -234,21 +238,21 @@ def test_corrupted_trace_fails_certification(monkeypatch, alpha, k, off_by):
     h = list(_traces(alpha))
     h[k] += 1 if off_by == "one" else alpha
     monkeypatch.setattr(dedekind, "_traces", lambda alpha: h)
-    dedekind._cot_sum.cache_clear()
     with pytest.raises(RuntimeError, match="internal error.*failed certification"):
-        dedekind_cot(1, alpha)
-    dedekind._cot_sum.cache_clear()
+        _cot_sum(1, alpha)
 
 
 @pytest.mark.parametrize("alpha", range(2, 201))
 def test_every_residue_matches_sawtooth(alpha):
-    # the benchmark's ladder and everything between, every residue, each
-    # alpha from a cold set-up
-    dedekind._cot_sum.cache_clear()
+    # the benchmark's ladder and everything between, every residue, on the
+    # trace route from a cold set-up and on the answering route
+    dedekind._reciprocity.cache_clear()
     dedekind._traces.cache_clear()
     for beta in range(alpha):
         if gcd(beta, alpha) == 1:
-            assert dedekind_cot(beta, alpha) == dedekind_sawtooth(beta, alpha), beta
+            expected = dedekind_sawtooth(beta, alpha)
+            assert _cot_sum(beta, alpha) == expected, beta
+            assert dedekind_cot(beta, alpha) == expected, beta
 
 
 @pytest.mark.parametrize("alpha", [997, 840])
@@ -256,37 +260,160 @@ def test_cold_sum_near_the_ceiling_stays_small(alpha):
     # alpha = 997 is the largest prime the route accepts, so one running
     # sum of 997 ints; 840 has the most divisors (32) of any alpha up to the
     # ceiling, so the most running sums
-    dedekind._cot_sum.cache_clear()
+    dedekind._reciprocity.cache_clear()
     dedekind._traces.cache_clear()
     tracemalloc.start()
     try:
-        value = dedekind_cot(1, alpha)
+        value = _cot_sum(1, alpha)
+        answer = dedekind_cot(1, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == dedekind_sawtooth(1, alpha)
+    assert value == answer == dedekind_sawtooth(1, alpha)
     assert peak < 1 << 20
 
 
 def test_walk_over_every_alpha_keeps_retained_memory_small():
     # s(1, alpha) = (alpha - 1)(alpha - 2)/(12 alpha) for every alpha the
-    # route accepts, one new set-up each; the caches are bounded, so what
-    # stays after the walk is their last entries, not one per alpha
-    dedekind._cot_sum.cache_clear()
+    # routes accept, one new trace set-up each; the caches are bounded, so
+    # what stays after the walk is their last entries, not one per alpha
+    dedekind._reciprocity.cache_clear()
     dedekind._traces.cache_clear()
     tracemalloc.start()
     try:
         for alpha in range(1, COT_ALPHA_MAX + 1):
-            assert dedekind_cot(1, alpha) == Fraction((alpha - 1) * (alpha - 2), 12 * alpha)
+            expected = Fraction((alpha - 1) * (alpha - 2), 12 * alpha)
+            assert _cot_sum(1, alpha) == dedekind_cot(1, alpha) == expected
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert current < 8 << 20
 
 
+# Pairs at which each corruption below is caught: 8 does not divide alpha,
+# so a total moved by alpha is no longer Rademacher's value mod 8.
+CORRUPTED_PAIRS = [(3, 7), (5, 12), (79, 198), (400, 997), (10**17 + 3, 10**18 + 9)]
+
+
+def _answer(beta, alpha):
+    """s(beta, alpha) through dedekind_cot where it accepts alpha."""
+    return _reciprocity(beta, alpha) if alpha > COT_ALPHA_MAX else dedekind_cot(beta, alpha)
+
+
+@pytest.mark.parametrize("beta, alpha", CORRUPTED_PAIRS)
+@pytest.mark.parametrize(
+    "change",
+    [lambda total, odd, inverse: (total + 1, odd, inverse),
+     lambda total, odd, inverse: (total, odd, inverse + 1)],
+    ids=["alternating_sum", "inverse"],
+)
+def test_corrupted_loop_fails_certification(monkeypatch, beta, alpha, change):
+    # the alternating sum moved by one moves 12*alpha*s by alpha, which the
+    # mod-8 congruence sees; the inverse moved by one moves it by 1, which
+    # the mod-alpha congruence sees
+    loop = dedekind._continued_fraction
+    monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha: change(*loop(b, alpha)))
+    dedekind._reciprocity.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="internal error.*failed certification"):
+            _answer(beta, alpha)
+    finally:
+        dedekind._reciprocity.cache_clear()
+
+
+@pytest.mark.parametrize("beta, alpha", CORRUPTED_PAIRS)
+def test_moved_partial_quotient_fails_certification(monkeypatch, beta, alpha):
+    # the loop's own first quotient off by one, its remainders kept: the
+    # alternating sum and every convergent after it move together
+    real = divmod
+
+    def first_quotient_moved(x, y):
+        quotient, rest = real(x, y)
+        if x == alpha:
+            quotient += 1
+        return quotient, rest
+
+    monkeypatch.setattr(dedekind, "divmod", first_quotient_moved, raising=False)
+    dedekind._reciprocity.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="internal error.*failed certification"):
+            _answer(beta, alpha)
+    finally:
+        dedekind._reciprocity.cache_clear()
+
+
+def _jacobi_by_euler(a, n):
+    # (a|n) as the product of Legendre symbols a^((p-1)/2) mod p over the
+    # prime factors p of n, with multiplicity
+    symbol, p = 1, 3
+    while n > 1:
+        while n % p == 0:
+            legendre = pow(a, (p - 1) // 2, p)
+            symbol *= -1 if legendre == p - 1 else legendre
+            n //= p
+        p += 2
+    return symbol
+
+
+def test_jacobi_symbol_matches_euler_criterion():
+    for n in range(1, 400, 2):
+        for a in range(-n, 2 * n):
+            if gcd(a, n) == 1:
+                assert _jacobi(a, n) == _jacobi_by_euler(a, n), (a, n)
+
+
+_BEYOND = st.integers(1, 10**18)
+
+
+@st.composite
+def _residue_pair(draw, alphas=_BEYOND):
+    alpha = draw(alphas)
+    b = draw(st.integers(0, alpha - 1).filter(lambda b: gcd(b, alpha) == 1))
+    return b, alpha
+
+
+class TestReciprocityBeyondTheCeiling:
+    # _reciprocity itself has no ceiling: alpha up to 10^18
+    @given(pair=_residue_pair())
+    @settings(deadline=None)
+    def test_six_alpha_s_is_an_integer(self, pair):
+        b, alpha = pair
+        assert (6 * alpha * _reciprocity(b, alpha)).denominator == 1
+
+    @given(pair=_residue_pair())
+    @settings(deadline=None)
+    def test_odd(self, pair):
+        b, alpha = pair
+        assert _reciprocity(-b % alpha, alpha) == -_reciprocity(b, alpha)
+
+    @given(pair=_residue_pair())
+    @settings(deadline=None)
+    def test_inverse_has_the_same_sum(self, pair):
+        b, alpha = pair
+        assert _reciprocity(pow(b, -1, alpha), alpha) == _reciprocity(b, alpha)
+
+    @given(pair=_residue_pair().filter(lambda pair: pair[0] > 0))
+    @settings(deadline=None)
+    def test_reciprocity_law(self, pair):
+        b, alpha = pair
+        law = Fraction(alpha * alpha + b * b + 1, 12 * alpha * b) - Fraction(1, 4)
+        assert _reciprocity(b, alpha) + _reciprocity(alpha % b, b) == law
+
+    @given(pair=_residue_pair(st.integers(1, SAWTOOTH_ALPHA_MAX)))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_sawtooth_up_to_its_ceiling(self, pair):
+        assert _reciprocity(*pair) == dedekind_sawtooth(*pair)
+
+    @given(pair=_residue_pair(st.integers(1, COT_ALPHA_MAX)))
+    @settings(deadline=None)
+    def test_matches_the_trace_route_up_to_its_ceiling(self, pair):
+        assert _reciprocity(*pair) == _cot_sum(*pair)
+
+
 def _fill_caches():
     out = io.StringIO()
     assert run(["catalog", "--json"], stdout=out) == 0
+    assert run(["dedekind", "5", "24", "--json"], stdout=out) == 0
     return dedekind_cot(5, 24), cot_exact(5, 24), volume_from_chi(1), out.getvalue()
 
 
@@ -295,7 +422,7 @@ def _fill_caches():
     [
         (cli, {"_catalog"}),
         (cyclotomic, {"_reduction"}),
-        (dedekind, {"_cot_sum", "_traces"}),
+        (dedekind, {"_reciprocity", "_traces"}),
         (gaussbonnet, {"_pi_squared"}),
     ],
     ids=["cli", "cyclotomic", "dedekind", "gaussbonnet"],

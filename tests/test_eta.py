@@ -31,6 +31,7 @@ from flateta import (
     predicted_signature,
 )
 from flateta.cli import run
+from flateta.errors import digit_limit
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -257,11 +258,12 @@ def _primes(count):
     return primes
 
 
-# Non-flat data whose e has more digits than int's default str limit
-# (4,300): 3,000 fibers of distinct prime multiplicity (e and chi_orb have
-# a denominator of about 11,900 digits), or a 4,300-digit b.
+# Non-flat data whose e has more digits than int's str limit (4,300 by
+# default): 3,000 fibers of distinct prime multiplicity (e and chi_orb have
+# a denominator of about 11,900 digits), or a b of digit_limit() digits,
+# the most parse_descriptor reads.
 MANY_PRIMES = "S2;" + "".join(f"({p},-1)" for p in _primes(3000))
-LONG_B = "S2;b=" + "9" * 4300 + ";(2,1)(3,1)"
+LONG_B = "S2;b=" + "9" * digit_limit() + ";(2,1)(3,1)"
 
 
 def test_many_distinct_fibers_are_refused_promptly():

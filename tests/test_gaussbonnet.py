@@ -20,6 +20,11 @@ from flateta import (
     doubled_euler,
     volume_from_chi,
 )
+from flateta.errors import digit_limit
+
+# decimal digits past what the library reads: at least 5000, and past the
+# limit in force (or CPython's default one when the limit is off)
+LONG = max(5000, digit_limit() + 1)
 
 
 class TestVolumeFromChi:
@@ -142,7 +147,8 @@ class TestChiFromVolume:
         with pytest.raises(NoLatticePointError):
             chi_from_volume(9.87e16)
 
-    @pytest.mark.parametrize("exponent", [40, 3900])
+    # 3900 at the default limit: the text's exponent + 50 digits stay within it
+    @pytest.mark.parametrize("exponent", [40, digit_limit() - 400])
     @pytest.mark.parametrize("sign, expected", [(1, None), (-1, 7)])
     def test_decided_exactly_next_to_the_tolerance(self, exponent, sign, expected):
         # (4*pi^2/3)*7 + 1e-6 +/- 10^-exponent, as text and as a Decimal:
@@ -167,15 +173,15 @@ class TestChiFromVolume:
         with pytest.raises(NoLatticePointError):
             chi_from_volume(text, 1e-6)
 
-    @pytest.mark.parametrize("volume", ["1e5000", "1e-5000", "1" * 5000, Decimal("1e-999999999")])
+    @pytest.mark.parametrize("volume", [f"1e{LONG}", f"1e-{LONG}", "1" * LONG, Decimal("1e-999999999")])
     @pytest.mark.parametrize("limit", [None, 0])
     def test_decimal_past_the_digit_limit_is_refused(self, volume, limit):
         # the default limit is 4300 digits; the refusal bounds the work on the text, which
-        # grows with the exponent, so it holds with the limit off too
+        # grows with the exponent, so it holds with the limit off too, at the default limit
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(before if limit is None else limit)
         try:
-            with pytest.raises(DomainError, match=f"more than {before or sys.int_info.default_max_str_digits} digits"):
+            with pytest.raises(DomainError, match=f"more than {digit_limit()} digits"):
                 chi_from_volume(volume)
         finally:
             sys.set_int_max_str_digits(before)

@@ -20,9 +20,11 @@ from flateta import (
     euler_number,
     flat_catalog,
     orbifold_euler_characteristic,
+    parse_descriptor,
     render_descriptor,
     validate,
 )
+from flateta.errors import digit_limit
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -96,11 +98,10 @@ def test_invalid_field_is_refused_at_construction_and_replace(case):
         dataclasses.replace(G5_DATA, **{field: value})
 
 
-LIMIT = sys.get_int_max_str_digits()
-TOO_LONG = 10**LIMIT + 1  # one digit past the int-to-str limit in force
+LIMIT = digit_limit()
+TOO_LONG = 10**LIMIT + 1  # one digit past what parse_descriptor reads
 
 
-@pytest.mark.skipif(not LIMIT, reason="the int-to-str limit is off, so nothing is refused")
 @pytest.mark.parametrize(
     "b, fibers, field",
     [
@@ -116,6 +117,23 @@ def test_render_refuses_an_integer_past_the_digit_limit(b, fibers, field):
         render_descriptor(data)
     fewer = 10 ** (LIMIT - 1)  # one digit fewer renders in full
     assert render_descriptor(SeifertData(BaseSurface.S2, fewer)) == f"S2;b={fewer};"
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["in_force", "off"])
+def test_rendered_text_parses_back_at_any_limit(limit):
+    # with the limit off str() writes any int, but parse_descriptor still
+    # reads at most CPython's default limit: render refuses at that bound
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before if limit is None else limit)
+    try:
+        widest = 10 ** digit_limit() - 1
+        data = SeifertData(BaseSurface.S2, -widest, ((2, 1), (widest, 1)))
+        assert parse_descriptor(render_descriptor(data)) == data
+        for b in (widest + 1, 10**5000):
+            with pytest.raises(ValidationError, match="^b has too many digits to render$"):
+                render_descriptor(SeifertData(BaseSurface.S2, b))
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("invariant", [euler_number, orbifold_euler_characteristic])

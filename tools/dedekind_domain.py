@@ -1,15 +1,16 @@
-"""The whole domain of the cotangent Dedekind route, by exhaustion.
+"""The whole domain of ``dedekind_cot``, by exhaustion.
 
 Computes s(beta, alpha) for every alpha = 1 .. COT_ALPHA_MAX and every
-residue beta in [0, alpha) coprime to alpha, on both routes of the
-``src/`` of this tree: ``dedekind_cot``, whose set-up for each alpha
-is cold because each alpha is a new key of its caches, and the sawtooth
-oracle ``dedekind_sawtooth``.  It prints every pair whose routes
-disagree, then the sha256 of the lines ``alpha beta s``, in order of
-alpha and then beta, each ended by a newline, and compares it with the
-one recorded in ``tests/dedekind_domain.sha256``.  The exit status is 0
-when the routes agree on every pair and the digest matches, 1 otherwise.
-Only the standard library is used:
+residue beta in [0, alpha) coprime to alpha, on all three routes of the
+``src/`` of this tree: the answer ``dedekind_cot`` (integer
+reciprocity), the cotangent trace route ``_cot_sum``, whose set-up for
+each alpha is cold because each alpha is a new key of its cache, and the
+sawtooth oracle ``dedekind_sawtooth``.  It prints every pair whose
+routes disagree, then the sha256 of the lines ``alpha beta s`` of the
+answer, in order of alpha and then beta, each ended by a newline, and
+compares it with the one recorded in ``tests/dedekind_domain.sha256``.
+The exit status is 0 when the routes agree on every pair and the digest
+matches, 1 otherwise.  Only the standard library is used:
 
     python3 tools/dedekind_domain.py
 """
@@ -36,9 +37,10 @@ def main() -> int:
         for beta in range(alpha):
             if gcd(beta, alpha) != 1:
                 continue
-            s, oracle = dedekind.dedekind_cot(beta, alpha), dedekind.dedekind_sawtooth(beta, alpha)
-            if s != oracle:
-                print(f"s({beta}, {alpha}): cot {s}, sawtooth {oracle}")
+            s = dedekind.dedekind_cot(beta, alpha)
+            cot, oracle = dedekind._cot_sum(beta, alpha), dedekind.dedekind_sawtooth(beta, alpha)
+            if not s == cot == oracle:
+                print(f"s({beta}, {alpha}): answer {s}, cot {cot}, sawtooth {oracle}")
                 disagree += 1
             digest.update(f"{alpha} {beta} {s}\n".encode())
             pairs += 1

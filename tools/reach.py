@@ -8,9 +8,10 @@ it runs the production entries, from the first ``import flateta`` on:
 * the library calls of ``cli_mix``, seed 1, made by perfbench/worker.py
   itself: its warm-up and one pass of its operations with the public
   calls its trace mode replays;
-* a cold ``dedekind_cot`` for every coprime pair with alpha up to
-  ``ALPHA_MAX``, the caches cleared once before the walk (each alpha
-  is a new key, so it starts cold);
+* a cold ``dedekind_cot``, the reciprocity answer, for every coprime
+  pair with alpha up to ``ALPHA_MAX``, the caches cleared once before
+  the walk (the cotangent trace route is reached through the corpus's
+  ``dedekind`` argvs);
 * last, ``dedekind_sweep``'s trace mode, seed 1, which stages every cold
   field through ``cyclotomic_polynomial``, ``cot_exact`` and promoted
   coefficients.
