@@ -8,8 +8,8 @@ A refusal shows a value only through ``shown``: a caller's value by its
 repr, a number the library computed by its str, an int past Python's
 int-to-str digit limit (alone or as a Fraction's part) by its sign and
 bit length, and anything else that cannot be formatted as ``<TypeName>``.
-``digit_limit`` is the number of decimal digits the library reads and
-writes.
+``digit_limit`` bounds the decimal digits of any one number the library
+reads or writes.
 """
 
 import sys

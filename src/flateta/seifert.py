@@ -214,7 +214,7 @@ def render_descriptor(s: SeifertData) -> str:
                         *(f"({f.alpha},{f.beta})" for f in s.fibers)])
     except ValueError:  # an int past the int-to-str limit in force
         text = None
-    if text is None or len(text) > limit:  # else no integer has limit digits
+    if text is None or len(text) > limit:  # else no integer is past the limit
         named = [("b", s.b)] + [(f"fibers[{i}]: {k}", v) for i, f in enumerate(s.fibers)
                                 for k, v in (("alpha", f.alpha), ("beta", f.beta))]
         bound = 10**limit
