@@ -13,10 +13,9 @@ elements: ``cot_exact`` returns cot(k*pi/n) as a frozen value that
 compares within one order, promotes to a larger field or reads as
 coefficients, and that is all.  :mod:`flateta.dedekind` does not use
 this module: its cotangent route sums Galois traces on plain integers.
-What reads these values is the benchmark's staged set-up of a cold
-field and the tests, which compare them with mpmath and use the
-reduction as an independent trace of the Dedekind route's vectors.
-Under ``cot_exact`` are two steps:
+Only the benchmark's trace-mode staging of a cold field and this
+module's own tests read it; the tests compare its values with mpmath
+and check the reduction itself.  Under ``cot_exact`` are two steps:
 
 * **Integer cotangent rows.**  cot(r*pi/n) = i*X(w), X(w) = (w + 1)/(w - 1)
   and w = zeta_n^r of order m.  As 1/(w - 1) = (1/m) * sum_{j<m} j*w^j,

@@ -121,32 +121,48 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 #   integer    := [ "+" | "-" ] digit { digit }    (ASCII 0-9 only)
 #
 # b defaults to 0; whitespace (re's \s, which is str.isspace()) is ignored
-# between tokens.  _WELL_FORMED is these lines as one pattern whose
-# whitespace runs and integers are possessive (a failing match never
-# backtracks into a long run), and parse_descriptor accepts a text it
-# fully matches in one step.  Every other text, and one with an integer
-# _integer refuses, goes to _walk, which alone decides each error: _TOKEN
-# reads one token at a time after any whitespace (an integer in group 2,
-# a base, any other single character, or the empty end of the text) and
-# _walk mirrors the lines above as take(...) sequences of tokens.  Error
-# offsets are UTF-8 byte offsets of the failing token.
+# between tokens; no integer may have more than digit_limit() digits.
+# _WELL_FORMED is these lines as one pattern, and parse_descriptor reads
+# every text with one match of it as a prefix.  All its quantifiers are
+# possessive, so the match never backtracks into a long run and ends
+# exactly where the first construct that fails begins: the base clause
+# (group 1) when nothing matched, else the b= clause or a pair.  The
+# first integer past the digit limit in that prefix is refused; past the
+# prefix, _refuse reads that one construct token by token with _TOKEN (an
+# integer in group 2, a base, any other single character, or the empty
+# end of the text) and names its first token that fails.  Error offsets
+# are UTF-8 byte offsets of the failing token; only ASCII and str.isspace()
+# characters precede it, so the text before it encodes.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
 _WELL_FORMED = re.compile(
-    r"""\s*+ (?:S2|T2) \s*+ ; \s*+
+    r"""( \s*+ (?:S2|T2) \s*+ ; \s*+ )
         (?: b \s*+ = \s*+ [+-]?+[0-9]++ \s*+ ; \s*+ )?+
         (?: \( \s*+ [+-]?+[0-9]++ \s*+ , \s*+ [+-]?+[0-9]++ \s*+ \) \s*+ )*+""",
     re.VERBOSE,
 )
 _VALUES = re.compile(r"S2|T2|[+-]?[0-9]+")  # in well-formed text: the base, then the integers
+_TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
+_BASES = ("S2", "T2")
 
 
-def _integer(numeral: str) -> int:
-    """int(numeral); ValueError, before int() runs, past digit_limit()."""
-    if len(numeral.lstrip("+-")) > digit_limit():
-        raise ValueError("integer has too many digits")
-    return int(numeral)
+def _refuse(text: str, pos: int, grammar: tuple) -> None:
+    """Raise the syntax error of the construct at text[pos:], which
+    _WELL_FORMED does not match: that of its first token that is not the
+    one grammar lists there (a literal, int, or _BASES for either base)."""
+    for want in grammar:
+        token = _TOKEN.match(text, pos)
+        if want is int:
+            message = ("expected an integer" if token[2] is None
+                       else "integer has too many digits"
+                       if len(token[2].lstrip("+-")) > digit_limit() else None)
+        elif want is _BASES:
+            message = None if token[1] in _BASES else "expected base 'S2' or 'T2'"
+        else:
+            message = None if token[1] == want else f"expected {want!r}"
+        if message:
+            raise DescriptorSyntaxError(message, len(text[: token.start(1)].encode()))
+        pos = token.end()
 
 
 def parse_descriptor(text: str) -> SeifertData:
@@ -154,53 +170,23 @@ def parse_descriptor(text: str) -> SeifertData:
     'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
     if not isinstance(text, str):
         raise DomainError(f"descriptor must be a str, got {shown(text)}")
-    if _WELL_FORMED.fullmatch(text):
-        base, *values = _VALUES.findall(text)
-        try:
-            values = list(map(_integer, values))
-        except ValueError:  # past the digit limit: _walk names the integer
-            return _walk(text)
-        b = values.pop(0) if "b" in text else 0
-        return SeifertData(base, b, tuple(map(FiberPair, values[::2], values[1::2])))
-    return _walk(text)
-
-
-def _walk(text: str) -> SeifertData:
-    """parse_descriptor token by token; the source of every syntax error."""
-    tokens = _TOKEN.finditer(text)  # lazily: junk fails at its first token
-    token = next(tokens)
-
-    def fail(message: str):
-        # Only ASCII and str.isspace() characters precede the token, so this encodes.
-        raise DescriptorSyntaxError(message, len(text[: token.start(1)].encode()))
-
-    def take(*grammar) -> list[int]:
-        """Consume one token per grammar item, a literal or int; return the ints."""
-        nonlocal token
-        values = []
-        for want in grammar:
-            if want is int:
-                if token[2] is None:
-                    fail("expected an integer")
-                try:
-                    value = _integer(token[2])
-                except ValueError:
-                    fail("integer has too many digits")
-                values.append(value)
-            elif token[1] != want:
-                fail(f"expected {want!r}")
-            token = next(tokens)
-        return values
-
-    base = token[1]
-    if base not in ("S2", "T2"):
-        fail("expected base 'S2' or 'T2'")
-    take(base, ";")
-    b = take("b", "=", int, ";")[0] if token[1] == "b" else 0
-    fibers = []
-    while token[1]:  # the empty token is the end of the text
-        fibers.append(FiberPair(*take("(", int, ",", int, ")")))
-    return SeifertData(base, b, tuple(fibers))
+    well_formed = _WELL_FORMED.match(text)
+    end = well_formed.end() if well_formed else 0
+    limit = digit_limit()
+    if end > limit:  # else no integer in the prefix can be past the limit
+        run = re.compile(f"[0-9]{{{limit + 1}}}").search(text, 0, end)
+        if run:
+            start = run.start() - (text[run.start() - 1] in "+-")
+            raise DescriptorSyntaxError("integer has too many digits", len(text[:start].encode()))
+    if well_formed is None:
+        _refuse(text, 0, (_BASES, ";"))
+    if end < len(text):
+        b_next = text[end] == "b" and well_formed.end(1) == end
+        _refuse(text, end, ("b", "=", int, ";") if b_next else ("(", int, ",", int, ")"))
+    base, *values = _VALUES.findall(text)
+    values = list(map(int, values))  # none past the limit, so int() reads each
+    b = values.pop(0) if "b" in text else 0
+    return SeifertData(base, b, tuple(map(FiberPair, values[::2], values[1::2])))
 
 
 def render_descriptor(s: SeifertData) -> str:

@@ -30,7 +30,8 @@ from flateta import (
     render_descriptor,
     run,
 )
-from flateta import cli, eta, seifert
+from flateta import cli, eta
+from flateta.errors import digit_limit
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -101,6 +102,24 @@ SYNTAX_ERRORS = [
 ]
 
 
+def _refused_within_a_second(text):
+    """The DescriptorSyntaxError parse_descriptor raises on text, in a list,
+    or an empty list; fails the test if the parse is not done in 1 s."""
+    outcome = []
+
+    def attempt():
+        try:
+            parse_descriptor(text)
+        except DescriptorSyntaxError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive()
+    return outcome
+
+
 class TestParseDescriptor:
     def test_catalog_example(self):
         data = parse_descriptor("S2;(2,1)(3,-1)(6,-1)")
@@ -155,20 +174,25 @@ class TestParseDescriptor:
         # a scanner that steps over whitespace one character at a time in
         # Python takes over a second here; a pattern that backtracks
         # through the run takes close to one
-        text = head + run * 10**7 + tail
-        outcome = []
+        assert [error.offset for error in _refused_within_a_second(head + run * 10**7 + tail)] \
+            == [offset]
 
-        def attempt():
-            try:
-                parse_descriptor(text)
-            except DescriptorSyntaxError as exc:
-                outcome.append(exc.offset)
-
-        worker = threading.Thread(target=attempt, daemon=True)
-        worker.start()
-        worker.join(timeout=1)
-        assert not worker.is_alive()
-        assert outcome == [offset]
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("S2;" + "(2,1)" * 10**6 + "x", "expected '('", 5_000_003),
+            ("S2;" + "( 2 , 1 ) " * 5 * 10**5 + "(", "expected an integer", 5_000_004),
+            ("S2;" + "(2,1)" * 10**6 + "(2," + "1" * (digit_limit() + 1) + ")",
+             "integer has too many digits", 5_000_006),
+        ],
+        ids=["junk", "spaced_open_pair", "beta_digits"],
+    )
+    def test_error_after_a_long_well_formed_prefix_is_prompt(self, text, message, offset):
+        # a parser that walks the well-formed prefix token by token in
+        # Python takes seconds here; the error is named from the one
+        # construct where the pattern's match stopped
+        assert [str(error) for error in _refused_within_a_second(text)] \
+            == [f"{message} (byte {offset})"]
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -240,22 +264,25 @@ _SEIFERT_DATA = st.builds(
 # str.isspace() characters, two of them more than one byte in UTF-8
 _WHITESPACE = st.text(alphabet=" \t\n\r\u00a0\u3000", max_size=3)
 # the descriptor's tokens: a base, "b", a signed integer, or one character
-_TOKEN = re.compile(r"[ST]2|b|[-+]?[0-9]+|.", re.DOTALL)
+_RENDERED_TOKEN = re.compile(r"[ST]2|b|[-+]?[0-9]+|.", re.DOTALL)
 
 
 @st.composite
 def _mutated(draw):
     """A rendered descriptor after up to four random edits: truncation,
-    deletion, insertion or replacement of one character."""
+    deletion, insertion or replacement of one character, or insertion of
+    a run of digits one longer than the digit limit."""
     text = render_descriptor(draw(_SEIFERT_DATA))
     alphabet = st.sampled_from("ST2;b=(),+-0139 x\u00a0\u00b2\u0662")
     for _ in range(draw(st.integers(1, 4))):
         pos = draw(st.integers(0, len(text)))
-        edit = draw(st.sampled_from(["truncate", "delete", "insert", "replace"]))
+        edit = draw(st.sampled_from(["truncate", "delete", "insert", "replace", "long_run"]))
         if edit == "truncate":
             text = text[:pos]
         elif edit == "insert":
             text = text[:pos] + draw(alphabet) + text[pos:]
+        elif edit == "long_run":
+            text = text[:pos] + "1" * (digit_limit() + 1) + text[pos:]
         else:
             text = text[:pos] + (draw(alphabet) if edit == "replace" else "") + text[pos + 1:]
     return text
@@ -264,8 +291,59 @@ def _mutated(draw):
 @st.composite
 def _spaced(draw):
     """A rendered descriptor with whitespace drawn before each token and at the end."""
-    tokens = _TOKEN.findall(render_descriptor(draw(_SEIFERT_DATA)))
+    tokens = _RENDERED_TOKEN.findall(render_descriptor(draw(_SEIFERT_DATA)))
     return "".join(draw(_WHITESPACE) + token for token in tokens) + draw(_WHITESPACE)
+
+
+# The token walk that parse_descriptor used before it read every text
+# with one pattern, kept as the reference it is compared with: it reads
+# the whole text one token at a time and mirrors the grammar's lines.
+_TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
+
+
+def _integer(numeral: str) -> int:
+    """int(numeral); ValueError, before int() runs, past digit_limit()."""
+    if len(numeral.lstrip("+-")) > digit_limit():
+        raise ValueError("integer has too many digits")
+    return int(numeral)
+
+
+def _walk(text: str) -> SeifertData:
+    """parse_descriptor token by token; the source of every syntax error."""
+    tokens = _TOKEN.finditer(text)  # lazily: junk fails at its first token
+    token = next(tokens)
+
+    def fail(message: str):
+        # Only ASCII and str.isspace() characters precede the token, so this encodes.
+        raise DescriptorSyntaxError(message, len(text[: token.start(1)].encode()))
+
+    def take(*grammar) -> list[int]:
+        """Consume one token per grammar item, a literal or int; return the ints."""
+        nonlocal token
+        values = []
+        for want in grammar:
+            if want is int:
+                if token[2] is None:
+                    fail("expected an integer")
+                try:
+                    value = _integer(token[2])
+                except ValueError:
+                    fail("integer has too many digits")
+                values.append(value)
+            elif token[1] != want:
+                fail(f"expected {want!r}")
+            token = next(tokens)
+        return values
+
+    base = token[1]
+    if base not in ("S2", "T2"):
+        fail("expected base 'S2' or 'T2'")
+    take(base, ";")
+    b = take("b", "=", int, ";")[0] if token[1] == "b" else 0
+    fibers = []
+    while token[1]:  # the empty token is the end of the text
+        fibers.append(FiberPair(*take("(", int, ",", int, ")")))
+    return SeifertData(base, b, tuple(fibers))
 
 
 def _parse_outcome(parse, text):
@@ -287,16 +365,17 @@ class TestDescriptorGrammarProperties:
     def test_whitespace_between_tokens_is_ignored(self, data, spacing):
         canonical = render_descriptor(data)
         spaced = "".join(
-            spacing.draw(_WHITESPACE) + token for token in _TOKEN.findall(canonical)
+            spacing.draw(_WHITESPACE) + token for token in _RENDERED_TOKEN.findall(canonical)
         ) + spacing.draw(_WHITESPACE)
         assert render_descriptor(parse_descriptor(spaced)) == canonical
 
     @given(text=st.one_of(_mutated(), _spaced(), _SEIFERT_DATA.map(render_descriptor)))
     @settings(max_examples=400, deadline=None)
     def test_one_step_parse_matches_the_walk(self, text):
-        # parse_descriptor accepts well-formed text in one step and hands
-        # the rest to the token walk; both must agree on every text
-        assert _parse_outcome(parse_descriptor, text) == _parse_outcome(seifert._walk, text)
+        # parse_descriptor reads every text with one prefix match and names
+        # an error from the construct where it stopped; the token walk reads
+        # the whole text; both must agree on every text
+        assert _parse_outcome(parse_descriptor, text) == _parse_outcome(_walk, text)
 
     @given(text=_mutated())
     @settings(max_examples=400, deadline=None)

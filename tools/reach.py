@@ -53,8 +53,6 @@ ALLOWLIST = {
     "gaussbonnet.doubled_euler": "a paper identity; tests/test_gaussbonnet.py::TestDoubledEuler",
     "cli.main": "the console script; "
     "tests/test_cli.py::TestCliContract::test_console_script_writing_to_a_full_device",
-    "seifert._walk": "its success path, the reference parser of "
-    "tests/test_cli.py::TestDescriptorGrammarProperties::test_one_step_parse_matches_the_walk",
     "cyclotomic.CyclotomicElement.promoted": "its spread path; "
     "tests/test_cyclotomic.py::TestCotExact::test_equal_across_orders",
 }
