@@ -14,6 +14,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DescriptorSyntaxError, DomainError, ValidationError, digit_limit, shown
@@ -122,25 +123,31 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 #
 # b defaults to 0; whitespace (re's \s, which is str.isspace()) is ignored
 # between tokens; no integer may have more than digit_limit() digits.
-# _WELL_FORMED is these lines as one pattern, and parse_descriptor reads
-# every text with one match of it as a prefix.  All its quantifiers are
-# possessive, so the match never backtracks into a long run and ends
-# exactly where the first construct that fails begins: the base clause
-# (group 1) when nothing matched, else the b= clause or a pair.  The
-# first integer past the digit limit in that prefix is refused; past the
-# prefix, _refuse reads that one construct token by token with _TOKEN (an
-# integer in group 2, a base, any other single character, or the empty
-# end of the text) and names its first token that fails.  Error offsets
-# are UTF-8 byte offsets of the failing token; only ASCII and str.isspace()
-# characters precede it, so the text before it encodes.
+# _well_formed(digit_limit()) is these lines as one pattern, the limit
+# included, and parse_descriptor reads every text with one match of it as
+# a prefix.  All its quantifiers are possessive, so the match never
+# backtracks into a long run and ends exactly where the first construct
+# that fails begins: the base clause (group 1) when nothing matched, else
+# the b= clause or a pair.  _refuse reads that one construct token by
+# token with _TOKEN (an integer in group 2, a base, any other single
+# character, or the empty end of the text) and names its first token that
+# fails.  Error offsets are UTF-8 byte offsets of the failing token; only
+# ASCII and str.isspace() characters precede it, so the text before it
+# encodes.
 # ---------------------------------------------------------------------------
 
-_WELL_FORMED = re.compile(
-    r"""( \s*+ (?:S2|T2) \s*+ ; \s*+ )
-        (?: b \s*+ = \s*+ [+-]?+[0-9]++ \s*+ ; \s*+ )?+
-        (?: \( \s*+ [+-]?+[0-9]++ \s*+ , \s*+ [+-]?+[0-9]++ \s*+ \) \s*+ )*+""",
-    re.VERBOSE,
-)
+
+@lru_cache
+def _well_formed(limit: int) -> re.Pattern:
+    integer = rf"[+-]?+[0-9]{{1,{limit}}}+"
+    return re.compile(
+        rf"""( \s*+ (?:S2|T2) \s*+ ; \s*+ )
+            (?: b \s*+ = \s*+ {integer} \s*+ ; \s*+ )?+
+            (?: \( \s*+ {integer} \s*+ , \s*+ {integer} \s*+ \) \s*+ )*+""",
+        re.VERBOSE,
+    )
+
+
 _VALUES = re.compile(r"S2|T2|[+-]?[0-9]+")  # in well-formed text: the base, then the integers
 _TOKEN = re.compile(r"\s*(([+-]?[0-9]+)|S2|T2|.|\Z)", re.DOTALL)
 _BASES = ("S2", "T2")
@@ -148,7 +155,7 @@ _BASES = ("S2", "T2")
 
 def _refuse(text: str, pos: int, grammar: tuple) -> None:
     """Raise the syntax error of the construct at text[pos:], which
-    _WELL_FORMED does not match: that of its first token that is not the
+    _well_formed does not match: that of its first token that is not the
     one grammar lists there (a literal, int, or _BASES for either base)."""
     for want in grammar:
         token = _TOKEN.match(text, pos)
@@ -170,16 +177,10 @@ def parse_descriptor(text: str) -> SeifertData:
     'T2;' or 'S2;b=-1;(2,1)'.  SeifertData validates the result."""
     if not isinstance(text, str):
         raise DomainError(f"descriptor must be a str, got {shown(text)}")
-    well_formed = _WELL_FORMED.match(text)
-    end = well_formed.end() if well_formed else 0
-    limit = digit_limit()
-    if end > limit:  # else no integer in the prefix can be past the limit
-        run = re.compile(f"[0-9]{{{limit + 1}}}").search(text, 0, end)
-        if run:
-            start = run.start() - (text[run.start() - 1] in "+-")
-            raise DescriptorSyntaxError("integer has too many digits", len(text[:start].encode()))
+    well_formed = _well_formed(digit_limit()).match(text)
     if well_formed is None:
         _refuse(text, 0, (_BASES, ";"))
+    end = well_formed.end()
     if end < len(text):
         b_next = text[end] == "b" and well_formed.end(1) == end
         _refuse(text, end, ("b", "=", int, ";") if b_next else ("(", int, ",", int, ")"))

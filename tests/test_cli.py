@@ -102,6 +102,12 @@ SYNTAX_ERRORS = [
 ]
 
 
+# a pair whose beta has exactly digit_limit() digits, and as many of them
+# as fit in about 10^6 characters
+_LIMIT_PAIR = "(2," + "1" * digit_limit() + ")"
+_LIMIT_PAIRS = 10**6 // len(_LIMIT_PAIR)
+
+
 def _refused_within_a_second(text):
     """The DescriptorSyntaxError parse_descriptor raises on text, in a list,
     or an empty list; fails the test if the parse is not done in 1 s."""
@@ -184,8 +190,10 @@ class TestParseDescriptor:
             ("S2;" + "( 2 , 1 ) " * 5 * 10**5 + "(", "expected an integer", 5_000_004),
             ("S2;" + "(2,1)" * 10**6 + "(2," + "1" * (digit_limit() + 1) + ")",
              "integer has too many digits", 5_000_006),
+            ("S2;" + _LIMIT_PAIR * _LIMIT_PAIRS + "x",
+             "expected '('", 3 + len(_LIMIT_PAIR) * _LIMIT_PAIRS),
         ],
-        ids=["junk", "spaced_open_pair", "beta_digits"],
+        ids=["junk", "spaced_open_pair", "beta_digits", "junk_after_limit_digits"],
     )
     def test_error_after_a_long_well_formed_prefix_is_prompt(self, text, message, offset):
         # a parser that walks the well-formed prefix token by token in
@@ -193,6 +201,11 @@ class TestParseDescriptor:
         # construct where the pattern's match stopped
         assert [str(error) for error in _refused_within_a_second(text)] \
             == [f"{message} (byte {offset})"]
+
+    def test_integers_at_the_digit_limit_are_read_promptly(self):
+        # a digit-limit check that counts each digit run again from every
+        # digit in it takes seconds here
+        assert _refused_within_a_second("S2;" + _LIMIT_PAIR * _LIMIT_PAIRS) == []
 
     @pytest.mark.parametrize(
         "text, offset",

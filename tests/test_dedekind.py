@@ -20,8 +20,10 @@ from flateta import (
     dedekind_cot,
     dedekind_sawtooth,
     gaussbonnet,
+    parse_descriptor,
     run,
     sawtooth,
+    seifert,
     volume_from_chi,
 )
 from flateta.dedekind import (
@@ -414,7 +416,8 @@ def _fill_caches():
     out = io.StringIO()
     assert run(["catalog", "--json"], stdout=out) == 0
     assert run(["dedekind", "5", "24", "--json"], stdout=out) == 0
-    return dedekind_cot(5, 24), cot_exact(5, 24), volume_from_chi(1), out.getvalue()
+    return (dedekind_cot(5, 24), cot_exact(5, 24), volume_from_chi(1), parse_descriptor("T2;"),
+            out.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -424,8 +427,9 @@ def _fill_caches():
         (cyclotomic, {"_reduction"}),
         (dedekind, {"_reciprocity", "_traces"}),
         (gaussbonnet, {"_pi_squared"}),
+        (seifert, {"_well_formed"}),
     ],
-    ids=["cli", "cyclotomic", "dedekind", "gaussbonnet"],
+    ids=["cli", "cyclotomic", "dedekind", "gaussbonnet", "seifert"],
 )
 def test_module_caches_clear_and_report(module, names):
     caches = {
