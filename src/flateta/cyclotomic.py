@@ -10,9 +10,9 @@ constant term vanishes, and a rational value is stored at order 1.
 
 Nothing in this module rounds, and there is no field arithmetic on
 elements: ``cot_exact`` returns cot(k*pi/n) as a frozen value that
-compares within one order, promotes to a larger field or reads as
-coefficients, and that is all.  :mod:`flateta.dedekind` does not use
-this module: its cotangent route sums Galois traces on plain integers.
+compares within one order and reads as coefficients, and that is all.
+:mod:`flateta.dedekind` does not use this module: its cotangent route
+sums Galois traces on plain integers.
 Only the benchmark's trace-mode staging of a cold field and this
 module's own tests read it; the tests compare its values with mpmath
 and check the reduction itself.  Under ``cot_exact`` are two steps:
@@ -40,9 +40,9 @@ from .dedekind import COT_ALPHA_MAX, _squarefree
 from .errors import DomainError, PoleError, shown
 
 # Largest field order N this module builds, checked before any O(N) list
-# is allocated: ``cot_exact`` and ``promoted`` reach Q(zeta_M),
-# M = lcm(4, 2*alpha) <= 4*alpha (3996 at alpha = 999), for every
-# cotangent in a sum the Dedekind route accepts.
+# is allocated.  It bounds the fields the benchmark's staging and the
+# tests reach, cot(k*pi/alpha) in Q(zeta_M) with M = lcm(4, 2*alpha) <=
+# 4*alpha for alpha <= COT_ALPHA_MAX = 1000 (3996 at alpha = 999).
 FIELD_ORDER_MAX = 4 * COT_ALPHA_MAX
 
 
@@ -59,12 +59,6 @@ def _check_order(order: int) -> None:
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense ascending coefficient lists)
 # ---------------------------------------------------------------------------
-
-
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
@@ -132,7 +126,10 @@ def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
         if c:
             for j, d in terms:
                 rem[i + j] -= c * d
-    return _trim(rem[:degree])
+    rem = rem[:degree]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +143,15 @@ class CyclotomicElement:
 
     Stored as ``order`` N, an integer ``numerator`` vector over the power
     basis and one positive ``denominator``: the value
-    ``sum(numerator[j] * zeta_N^j) / denominator``.  Only ``cot_exact`` and
-    ``promoted`` build canonical values (through ``_element``: numerator
-    reduced mod Phi_N and trimmed, lowest terms, a rational value at order
-    1, there ``numerator[0] / denominator``, 0 when empty), unique for a
-    given order.  ``==`` and ``hash`` compare fields, so they compare the
+    ``sum(numerator[j] * zeta_N^j) / denominator``.  Only ``cot_exact``
+    builds canonical values (numerator reduced mod Phi_N and trimmed,
+    lowest terms, a rational value at order 1, there
+    ``numerator[0] / denominator``, 0 when empty), unique for a given
+    order.  ``==`` and ``hash`` compare fields, so they compare the
     values of canonical elements of one order; a value built through the
-    dataclass constructor is taken as given.  ``promoted`` brings a value
-    to a larger order; ``coefficients`` gives its deg(Phi_N) coefficients.
+    dataclass constructor is taken as given.  ``promoted`` reads a value
+    in its own field, and a rational value in any; ``coefficients`` gives
+    its deg(Phi_N) coefficients.
 
     >>> cot_exact(1, 6)
     CyclotomicElement(order=12, numerator=(0, 2, 0, -1), denominator=1)
@@ -170,33 +168,15 @@ class CyclotomicElement:
         return tuple(Fraction(c, self.denominator) for c in self.numerator) + padding
 
     def promoted(self, order: int) -> "CyclotomicElement":
-        """The same value expressed in Q(zeta_order); order must be a
-        multiple of self.order.
-
-        A rational value stays at order 1: its vector is the same in
-        every field.
-        """
+        """The same value read in Q(zeta_order): the element itself, for
+        its own order or for a rational value, which stays at order 1
+        since its vector is the same in every field.  Any other order is
+        refused."""
         _check_order(order)
-        if order % self.order:
-            raise DomainError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
-        if order == self.order or self.order == 1:
-            return self
-        step = order // self.order
-        spread = [0] * ((len(self.numerator) - 1) * step + 1)
-        spread[::step] = self.numerator
-        return _element(order, _reduce_int_mod_phi(spread, order), self.denominator)
-
-
-def _element(order: int, rem, den: int) -> CyclotomicElement:
-    """The element rem(zeta_order) / den, for an integer vector rem already
-    reduced mod Phi_order and den > 0, in canonical form: rem trimmed, the
-    pair in lowest terms and a rational value at order 1."""
-    rem = _trim(list(rem))
-    g = gcd(den, *rem)
-    if g > 1:
-        rem = [c // g for c in rem]
-        den //= g
-    return CyclotomicElement(order if len(rem) > 1 else 1, tuple(rem), den)
+        if order != self.order and self.order != 1:
+            raise DomainError(f"a value of Q(zeta_{self.order}) is not promoted "
+                              f"to another field (order {order})")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -228,4 +208,7 @@ def cot_exact(k: int, n: int) -> CyclotomicElement:
     row[quarter] = m - 1
     for j in range(1, m):
         row[(quarter + j * r * step) % order] = 2 * j - 1
-    return _element(order, _reduce_int_mod_phi(row, order), m)
+    # the reduced row over m, canonical: in lowest terms, a rational value at order 1
+    rem = _reduce_int_mod_phi(row, order)
+    g = gcd(m, *rem)
+    return CyclotomicElement(order if len(rem) > 1 else 1, tuple(c // g for c in rem), m // g)

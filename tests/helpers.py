@@ -1,13 +1,44 @@
-"""Numeric embeddings of cyclotomic elements, for cross-checks only.
+"""Shared test helpers: a bounded-time call, and numeric embeddings of
+cyclotomic elements for cross-checks.
 
-The library itself never produces floating-point values; these helpers
+The library itself never produces floating-point values; the embeddings
 evaluate an element's coefficient vector at a numerical root of unity so
 tests can compare exact results against independent float computations.
 """
 
 import cmath
+import threading
+import time
 
 import mpmath
+
+
+def within(seconds, call):
+    """call()'s value, or the exception it raised, re-raised here; fails
+    the test unless call ends within seconds of wall-clock time.
+
+    call runs on a daemon thread joined with the budget.  A join cannot
+    time out while one C call holds the GIL, so the clock is read too.
+    """
+    outcome = []
+
+    def attempt():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:  # re-raised in the test's own thread
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(seconds)
+    elapsed = time.perf_counter() - start
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    assert elapsed < seconds, f"took {elapsed:.3f} s, over its {seconds} s budget"
+    returned, value = outcome[0]
+    if returned:
+        return value
+    raise value
 
 
 def embed_complex(elem) -> complex:

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -32,6 +31,7 @@ from flateta import (
 )
 from flateta import cli, eta
 from flateta.errors import digit_limit
+from helpers import within
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -111,22 +111,11 @@ _LIMIT_PAIRS = 10**6 // len(_LIMIT_PAIR)
 def _refused_within_a_second(text):
     """The DescriptorSyntaxError parse_descriptor raises on text, in a list,
     or an empty list; fails the test if the parse is not done in 1 s."""
-    outcome = []
-
-    def attempt():
-        try:
-            parse_descriptor(text)
-        except DescriptorSyntaxError as exc:
-            outcome.append(exc)
-
-    worker = threading.Thread(target=attempt, daemon=True)
-    start = time.monotonic()
-    worker.start()
-    worker.join(timeout=1)
-    # the join cannot time out while one re call holds the GIL, so the
-    # time it took is checked as well
-    assert not worker.is_alive() and time.monotonic() - start < 1
-    return outcome
+    try:
+        within(1, lambda: parse_descriptor(text))
+    except DescriptorSyntaxError as exc:
+        return [exc]
+    return []
 
 
 class TestParseDescriptor:
@@ -449,17 +438,7 @@ class TestWholeArgvContract:
     @given(argv=_argv())
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_a_typed_outcome(self, argv):
-        outcome = []
-
-        def attempt():
-            outcome.append(invoke(*argv))
-
-        worker = threading.Thread(target=attempt, daemon=True)
-        worker.start()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        assert len(outcome) == 1  # nothing escaped run()
-        code, out, err = outcome[0]
+        code, out, err = within(5, lambda: invoke(*argv))  # nothing escaped run()
         assert code in (0, 1, 2, 3)
         if code == 0:
             assert err == ""
@@ -679,9 +658,7 @@ class TestDedekindCommand:
 
     @pytest.mark.parametrize("alpha", ["5000", "1000000000"])
     def test_alpha_above_ceiling_is_refused_at_once(self, alpha):
-        start = time.perf_counter()
-        code, out, err = invoke("dedekind", "1", alpha)
-        assert time.perf_counter() - start < 1.0
+        code, out, err = within(1, lambda: invoke("dedekind", "1", alpha))
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1

@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-import threading
 import tracemalloc
 
 import mpmath
@@ -20,7 +19,7 @@ from flateta import (
 from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi, _reduction
 from flateta.dedekind import COT_ALPHA_MAX
 
-from helpers import embed_complex, embed_mp
+from helpers import embed_complex, embed_mp, within
 
 
 def _poly_mul(a, b):
@@ -113,30 +112,14 @@ class TestFieldOrderCeiling:
         ids=["polynomial", "cot_exact", "promoted"],
     )
     def test_refused_promptly(self, call):
-        outcome = []
-
-        def attempt():
-            try:
-                call()
-            except DomainError as exc:
-                outcome.append(str(exc))
-
-        worker = threading.Thread(target=attempt, daemon=True)
-        worker.start()
-        worker.join(timeout=1)
-        assert not worker.is_alive()
-        assert len(outcome) == 1 and "FIELD_ORDER_MAX" in outcome[0]
+        with pytest.raises(DomainError, match="FIELD_ORDER_MAX"):
+            within(1, call)
 
     def test_slowest_field_answers_promptly(self):
         # cot(pi/993) in Q(zeta_3972), the longest long division of any
         # field cot_exact reaches (TestReduction), from an empty cache
         _reduction.cache_clear()
-        outcome = []
-        worker = threading.Thread(target=lambda: outcome.append(cot_exact(1, 993)), daemon=True)
-        worker.start()
-        worker.join(timeout=1)
-        assert not worker.is_alive()
-        assert outcome[0].order == 3972
+        assert within(1, lambda: cot_exact(1, 993)).order == 3972
 
     def test_promotion_refused_before_spreading(self):
         wide = cot_exact(1, 997)  # in Q(zeta_3988), 1992 coefficients
@@ -144,7 +127,7 @@ class TestFieldOrderCeiling:
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="FIELD_ORDER_MAX"):
-                wide.promoted(3988 * 3967)  # spread over 3967 * 1991 slots
+                wide.promoted(3988 * 3967)  # refused before an O(order) list
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,7 +137,7 @@ class TestFieldOrderCeiling:
         assert FIELD_ORDER_MAX == 4 * COT_ALPHA_MAX
         assert max(math.lcm(4, 2 * n) for n in range(1, COT_ALPHA_MAX + 1)) <= FIELD_ORDER_MAX
         assert cot_exact(1, 999).order == 3996
-        assert cot_exact(1, 5).promoted(FIELD_ORDER_MAX).order == FIELD_ORDER_MAX
+        assert cot_exact(1, 4).promoted(FIELD_ORDER_MAX) == cot_exact(1, 4)  # cot(pi/4) = 1
 
 
 class TestRepresentation:
@@ -228,15 +211,14 @@ class TestCotExact:
             value.order = 24
         assert value.order == 12
 
-    def test_equal_across_orders(self):
-        # cot(pi/3) lives in Q(zeta_12); == compares within one order, so
-        # values of two orders compare once promoted to a common one
+    def test_promotion_to_another_field_is_refused(self):
+        # cot(pi/3) lives in Q(zeta_12) and is read there only: fields that
+        # contain Q(zeta_12) (24, 72) are refused as well as one that does not
         value = cot_exact(1, 3)
-        assert value.promoted(12) == value
-        assert value.promoted(72) == cot_exact(2, 6).promoted(36).promoted(72)
-        assert value.promoted(24) != value
-        assert value.promoted(24) != cot_exact(1, 6).promoted(24)
-        assert cot_exact(1, 4) == cot_exact(5, 4).promoted(8)
+        assert value.promoted(12) is value
+        for order in (24, 72, 5):
+            with pytest.raises(DomainError, match=f"not promoted to another field .order {order}."):
+                value.promoted(order)
 
     def test_embedding_at_higher_order_stays_rational(self):
         promoted = cot_exact(3, 4).promoted(24)  # cot(3*pi/4) = -1

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from flateta import (
     volume_from_chi,
 )
 from flateta.errors import digit_limit
+from helpers import within
 
 # decimal digits past what the library reads: at least 5000, and past the
 # limit in force (or CPython's default one when the limit is off)
@@ -157,13 +157,11 @@ class TestChiFromVolume:
             volume = 4 * 7 * mpmath.pi**2 / 3 + mpmath.mpf(10) ** -6
             text = mpmath.nstr(volume + sign * mpmath.mpf(10) ** -exponent, exponent + 50)
         for volume in (text, Decimal(text)):
-            start = time.perf_counter()
             try:
-                decided = chi_from_volume(volume)
+                decided = within(1, lambda: chi_from_volume(volume))
             except NoLatticePointError:
                 decided = None
             assert decided == expected
-            assert time.perf_counter() - start < 1
 
     def test_default_tolerance_is_exactly_1e_6(self):
         # the float 1e-6 is 4.5e-23 below 10^-6: it refuses what the default takes

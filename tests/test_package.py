@@ -4,7 +4,6 @@ how its public calls answer hostile arguments."""
 import io
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 
 import flateta
 from flateta import DomainError, FlatEtaError, SeifertData, ValidationError
+from helpers import within
 
 
 def test_all_lists_each_name_once():
@@ -123,22 +123,11 @@ HOSTILE_CALLS = {
 @pytest.mark.parametrize("case", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
 def test_hostile_call_ends_in_a_typed_error(case):
     call, kind, named = case
-    outcome = []
-
-    def attempt():
-        try:
-            call()
-        except Exception as exc:  # recorded and checked below
-            outcome.append(exc)
-
-    worker = threading.Thread(target=attempt, daemon=True)
-    worker.start()
-    worker.join(timeout=1)
-    assert not worker.is_alive()
-    assert len(outcome) == 1
-    assert isinstance(outcome[0], kind) and isinstance(outcome[0], FlatEtaError)
+    with pytest.raises(kind) as refused:
+        within(1, call)
+    assert isinstance(refused.value, FlatEtaError)
     if named != "bits>" or H_PAST_LIMIT:
-        assert named in str(outcome[0])
+        assert named in str(refused.value)
 
 
 def test_float_order_is_refused_after_the_int_order_is_cached():

@@ -53,8 +53,6 @@ ALLOWLIST = {
     "gaussbonnet.doubled_euler": "a paper identity; tests/test_gaussbonnet.py::TestDoubledEuler",
     "cli.main": "the console script; "
     "tests/test_cli.py::TestCliContract::test_console_script_writing_to_a_full_device",
-    "cyclotomic.CyclotomicElement.promoted": "its spread path; "
-    "tests/test_cyclotomic.py::TestCotExact::test_equal_across_orders",
 }
 
 
