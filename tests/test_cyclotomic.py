@@ -86,8 +86,8 @@ def _long_division(vec, order):
 
 class TestReduction:
     # every order to 600, odd ones folding with y^N = 1 and even ones with
-    # y^(N/2) = -1, the Dedekind route's fields Q(zeta_alpha), and
-    # cot_exact's Q(zeta_M); after the fold, long division by Phi_3972
+    # y^(N/2) = -1, larger orders to 2310 with many or large prime factors,
+    # and cot_exact's Q(zeta_M); after the fold, long division by Phi_3972
     # (3972 = 4*3*331) runs 666 steps over 440 nonzero lower terms, the
     # most of any field cot_exact reaches
     @pytest.mark.parametrize(
