@@ -29,7 +29,8 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .dedekind import _cot_sum, dedekind_cot, dedekind_sawtooth
-from .errors import DescriptorSyntaxError, DomainError, ObstructionError, UsageError, shown
+from .errors import (DescriptorSyntaxError, DomainError, ObstructionError, UsageError, digit_limit,
+                     shown)
 from .eta import MULTI_CUSP_NOTE, EtaResult, eta_flat, flat_catalog, obstruction_report
 from .gaussbonnet import TOLERANCE, chi_from_volume, real, volume_from_chi
 from .seifert import SeifertData, parse_descriptor, render_descriptor
@@ -185,6 +186,15 @@ class _Help(Exception):
     """-h or --help was given; the single argument is the help text."""
 
 
+def _integer(text: str) -> int:
+    """int(text); ValueError, before int() runs, for more than digit_limit()
+    digits, which int() would read in time quadratic in their number."""
+    digits = text.strip().lstrip("+-")
+    if len(digits) - digits.count("_") > digit_limit():
+        raise ValueError(text)
+    return int(text)
+
+
 class _Arg(NamedTuple):
     """A command's argument: a required positional, or a "--" option taking one value."""
 
@@ -202,13 +212,14 @@ _COMMANDS = {
     "obstruct": (_cmd_obstruct, "geometric bounding obstruction report (exit 3 when obstructed)",
                  (_Arg("descriptor", help="Seifert descriptor"),)),
     "dedekind": (_cmd_dedekind, "exact Dedekind sum s(beta, alpha), both evaluation paths",
-                 (_Arg("beta", int, "coprime to alpha"), _Arg("alpha", int, "integer >= 1"))),
+                 (_Arg("beta", _integer, "coprime to alpha"),
+                  _Arg("alpha", _integer, "integer >= 1"))),
     "catalog": (lambda args: _catalog(),
                 "the six orientable flat 3-manifolds and their eta-invariants", ()),
     "gauss-bonnet": (
         _cmd_gauss_bonnet,
         "volume <-> Euler characteristic conversion for hyperbolic 4-manifolds",
-        (_Arg("--chi", int, "Euler characteristic to convert to volume", one_of=True),
+        (_Arg("--chi", _integer, "Euler characteristic to convert to volume", one_of=True),
          _Arg("--volume", real, "volume to convert to Euler characteristic", one_of=True),
          _Arg("--tol", real, "matching tolerance for --volume (default 1e-6)", TOLERANCE)),
     ),
@@ -299,8 +310,8 @@ def _parse(argv) -> SimpleNamespace:
         try:
             setattr(args, a.name.lstrip("-"), a.default if text is None else a.convert(text))
         except ValueError:
-            raise UsageError(f"{a.name}: invalid {'int' if a.convert is int else 'float'} value: "
-                             f"{shown(text)}") from None
+            kind = "int" if a.convert is _integer else "float"
+            raise UsageError(f"{a.name}: invalid {kind} value: {shown(text)}") from None
     return args
 
 

@@ -8,6 +8,8 @@ A refusal shows a value only through ``shown``: a caller's value by its
 repr, a number the library computed by its str, an int past Python's
 int-to-str digit limit (alone or as a Fraction's part) by its sign and
 bit length, and anything else that cannot be formatted as ``<TypeName>``.
+Any text but an int's or a Fraction's, which the digit limit bounds, is
+cut to its first ``SHOWN_MAX`` characters.
 ``digit_limit`` bounds the decimal digits of any one number the library
 reads or writes.
 """
@@ -67,10 +69,13 @@ class UsageError(FlatEtaError):
     """Command line could not be parsed."""
 
 
+SHOWN_MAX = 80
+
+
 def shown(value, form=repr) -> str:
     """form(value) for a refusal's message, never raising (the rule above)."""
     try:
-        return form(value)
+        text = form(value)
     except Exception:  # an int past the digit limit, or a broken __repr__
         if type(value) is int:
             return f"{'-' * (value < 0)}<int of {abs(value).bit_length()} bits>"
@@ -78,6 +83,9 @@ def shown(value, form=repr) -> str:
             return f"<{type(value).__name__}>"
         num, den = shown(value.numerator), shown(value.denominator)
         return f"Fraction({num}, {den})" if form is repr else f"{num}/{den}".removesuffix("/1")
+    if len(text) <= SHOWN_MAX or type(value) in (int, Fraction):
+        return text
+    return f"{text[:SHOWN_MAX]}... ({len(text)} characters)"
 
 
 def digit_limit() -> int:

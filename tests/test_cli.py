@@ -843,6 +843,35 @@ class TestCliContract:
             code, out, err = invoke(*argv)
             assert (code == 0) == (err == ""), argv
 
+    # Numeric arguments past the digit limit in force, or CPython's default
+    # one when the limit is off (0), where int() reads 10**6 digits in
+    # seconds: each is refused at once, its token shown cut short.
+    # (argv, the start of its one error line)
+    LONG_ARGUMENTS = {
+        "beta_one_past": (["dedekind", "1" * (digit_limit() + 1), "7"], "beta: invalid int"),
+        "beta": (["dedekind", "1" * 10**6, "7"], "beta: invalid int"),
+        "negative_beta": (["dedekind", "--", "-" + "1" * 10**6, "7"], "beta: invalid int"),
+        "alpha": (["dedekind", "1", "1" * 10**6], "alpha: invalid int"),
+        "grouped_alpha": (["dedekind", "1", "1_" * 10**6 + "1"], "alpha: invalid int"),
+        "chi": (["gauss-bonnet", "--chi", "1" * 10**6], "--chi: invalid int"),
+        "attached_chi": (["gauss-bonnet", "--chi=" + "1" * 10**6], "--chi: invalid int"),
+        "volume": (["gauss-bonnet", "--volume", "1" * 10**6], "--volume: invalid float"),
+    }
+
+    @pytest.mark.parametrize("case", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS.keys())
+    def test_numeric_argument_past_the_digit_limit_is_refused_at_once(self, case):
+        argv, message = case
+        code, out, err = within(1, lambda: invoke(*argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message} value: '") and err.count("\n") == 1
+        assert len(err) < 200
+
+    def test_integer_argument_at_the_digit_limit_is_read(self):
+        beta = "1" * digit_limit()
+        code, out, err = within(1, lambda: invoke("dedekind", beta, "7", "--quiet"))
+        assert (code, err) == (0, "")
+        assert out == invoke("dedekind", str(int(beta) % 7), "7", "--quiet")[1]
+
     @pytest.mark.parametrize("argv", ["eta", [5], ["eta", 5]], ids=["str", "int", "int_arg"])
     def test_argv_that_is_not_a_list_of_str_is_refused(self, argv):
         out, err = io.StringIO(), io.StringIO()

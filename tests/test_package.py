@@ -1,6 +1,7 @@
 """The package namespace: what ``from flateta import *`` exports, and
 how its public calls answer hostile arguments."""
 
+import importlib
 import io
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import flateta
 from flateta import DomainError, FlatEtaError, SeifertData, ValidationError
+from flateta.errors import shown
 from helpers import within
 
 
@@ -37,6 +39,55 @@ def test_import_leaves_argparse_unloaded():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def _loaded_by(statement, names):
+    """Which of names a fresh interpreter has in sys.modules after statement."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = f"import sys; {statement}; print(sorted(set({names!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+def test_import_loads_only_the_dedekind_core():
+    names = ["json", "dataclasses", "inspect", "flateta.cli", "flateta.cyclotomic",
+             "flateta.dedekind", "flateta.errors"]
+    assert _loaded_by("import flateta", names) == "['flateta.dedekind', 'flateta.errors']\n"
+
+
+def test_cli_import_leaves_cyclotomic_unloaded():
+    names = ["flateta.cli", "flateta.cyclotomic"]
+    assert _loaded_by("import flateta.cli", names) == "['flateta.cli']\n"
+
+
+def test_lazy_names_are_their_modules_objects():
+    for name, module in flateta._LAZY.items():
+        home = importlib.import_module(f"flateta.{module}")
+        assert getattr(flateta, name) is getattr(home, name), name
+        assert vars(flateta)[name] is getattr(home, name), name
+    assert flateta.run is flateta.cli.run
+    assert set(flateta._LAZY) < set(flateta.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'flateta' has no attribute 'nonesuch'"):
+        flateta.nonesuch
+    assert "nonesuch" not in vars(flateta)
+
+
+def test_shown_cuts_long_text_only():
+    assert shown("x" * 78) == repr("x" * 78)
+    assert shown("x" * 100) == "'" + "x" * 79 + "... (102 characters)"
+    assert shown(["x" * 100]) == "['" + "x" * 78 + "... (104 characters)"
+    assert shown(10**200) == str(10**200)
+    assert shown(Fraction(1, 10**200), str) == f"1/{10**200}"
 
 
 # Hostile library calls, each of which once escaped as a bare TypeError,
