@@ -8,8 +8,9 @@ A refusal shows a value only through ``shown``: a caller's value by its
 repr, a number the library computed by its str, an int past Python's
 int-to-str digit limit (alone or as a Fraction's part) by its sign and
 bit length, and anything else that cannot be formatted as ``<TypeName>``.
-Any text but an int's or a Fraction's, which the digit limit bounds, is
-cut to its first ``SHOWN_MAX`` characters.
+Any other text longer than ``SHOWN_MAX`` characters is cut to that
+length; an int's or a Fraction's stays whole, as the int-to-str limit in
+force bounds it.
 ``digit_limit`` bounds the decimal digits of any one number the library
 reads or writes.
 """
