@@ -5,14 +5,17 @@ each failure class onto its exit code (usage 1, domain/validation 2,
 obstruction 3).
 
 A refusal shows a value only through ``shown``: a caller's value by its
-repr, a number the library computed by its str, an int past Python's
-int-to-str digit limit (alone or as a Fraction's part) by its sign and
-bit length, and anything else that cannot be formatted as ``<TypeName>``.
-Any other text longer than ``SHOWN_MAX`` characters is cut to that
-length; an int's or a Fraction's stays whole, as the int-to-str limit in
-force bounds it.
+repr, a number the library computed by its str, an int of more than
+``digit_limit()`` digits (alone or as a Fraction's part) by its sign and
+bit length before any formatting, and anything else that cannot be
+formatted as ``<TypeName>``.  Any other text longer than ``SHOWN_MAX``
+characters is cut to that length; an int's or a Fraction's stays whole,
+as ``digit_limit`` bounds it.
 ``digit_limit`` bounds the decimal digits of any one number the library
 reads or writes.
+
+``Value`` is the base of the package's value classes (FiberPair,
+SeifertData, EtaResult, ObstructionReport, CatalogEntry, VolumeValue).
 """
 
 import sys
@@ -75,16 +78,19 @@ SHOWN_MAX = 80
 
 def shown(value, form=repr) -> str:
     """form(value) for a refusal's message, never raising (the rule above)."""
-    try:
-        text = form(value)
-    except Exception:  # an int past the digit limit, or a broken __repr__
-        if type(value) is int:
-            return f"{'-' * (value < 0)}<int of {abs(value).bit_length()} bits>"
-        if type(value) is not Fraction:
-            return f"<{type(value).__name__}>"
+    if type(value) is Fraction:
         num, den = shown(value.numerator), shown(value.denominator)
         return f"Fraction({num}, {den})" if form is repr else f"{num}/{den}".removesuffix("/1")
-    if len(text) <= SHOWN_MAX or type(value) in (int, Fraction):
+    if type(value) is int:
+        limit, size = digit_limit(), abs(value)
+        # 8**limit < 10**limit, so the power is only built for an int past 3*limit bits
+        if size.bit_length() > 3 * limit and size >= 10**limit:
+            return f"{'-' * (value < 0)}<int of {size.bit_length()} bits>"
+    try:
+        text = form(value)
+    except Exception:  # a broken __repr__, or an int subclass past the limit
+        return f"<{type(value).__name__}>"
+    if len(text) <= SHOWN_MAX or type(value) is int:
         return text
     return f"{text[:SHOWN_MAX]}... ({len(text)} characters)"
 
@@ -94,3 +100,36 @@ def digit_limit() -> int:
     is off: the most decimal digits text the library reads or writes may
     give one number."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+class Value:
+    """Base of a frozen value class.  A subclass names its fields in
+    ``__slots__`` and sets each once in its ``__init__`` through
+    object.__setattr__.  Like a frozen dataclass, an instance refuses
+    assignment and deletion, equals only an instance of its own class
+    whose fields are equal, hashes as its field tuple and has the repr
+    ``Name(field=value, ...)``.  pickle and copy rebuild it through the
+    constructor, so its checks run again."""
+
+    __slots__ = ()
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (tuple(map(self.__getattribute__, self.__slots__))
+                == tuple(map(other.__getattribute__, self.__slots__)))
+
+    def __hash__(self):
+        return hash(tuple(map(self.__getattribute__, self.__slots__)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))

@@ -18,12 +18,11 @@ such W must have.  ``flat_catalog`` lists the six orientable flat
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .dedekind import dedekind_cot
-from .errors import DomainError, NotFlatError, ObstructionError, shown
+from .errors import DomainError, NotFlatError, ObstructionError, Value, shown
 from .seifert import BaseSurface, FiberPair, SeifertData, _flatness
 
 # The cusp obstruction only applies to one-cusped fillings; every flat
@@ -35,20 +34,22 @@ MULTI_CUSP_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class EtaResult:
+class EtaResult(Value):
     """Exact eta-invariant with its per-fiber Dedekind-sum breakdown.
 
     value = 4 * sum of the fiber contributions.
     """
 
-    value: Fraction
-    integral: bool
-    fiber_contributions: tuple[tuple[FiberPair, Fraction], ...]
+    __slots__ = ("value", "integral", "fiber_contributions")
+
+    def __init__(self, value: Fraction, integral: bool,
+                 fiber_contributions: tuple[tuple[FiberPair, Fraction], ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "fiber_contributions", fiber_contributions)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Value):
     """Verdicts for the two geometric bounding roles of a flat 3-manifold.
 
     Both flags equal ``not eta.integral``: one integrality test decides
@@ -57,10 +58,16 @@ class ObstructionReport:
     integral, and then equals -eta.
     """
 
-    eta: EtaResult
-    geodesic_boundary_obstructed: bool
-    one_cusped_cross_section_obstructed: bool
-    predicted_signature: int | None
+    __slots__ = ("eta", "geodesic_boundary_obstructed", "one_cusped_cross_section_obstructed",
+                 "predicted_signature")
+
+    def __init__(self, eta: EtaResult, geodesic_boundary_obstructed: bool,
+                 one_cusped_cross_section_obstructed: bool, predicted_signature: int | None):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "geodesic_boundary_obstructed", geodesic_boundary_obstructed)
+        object.__setattr__(self, "one_cusped_cross_section_obstructed",
+                           one_cusped_cross_section_obstructed)
+        object.__setattr__(self, "predicted_signature", predicted_signature)
 
 
 def eta_flat(s: SeifertData) -> EtaResult:
@@ -118,17 +125,20 @@ def obstruction_report(s: SeifertData) -> ObstructionReport:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     """One orientable flat 3-manifold: name, holonomy label, Seifert data
     over an orientable base when one exists, and its eta-invariant."""
 
-    name: str
-    holonomy: str
-    seifert: SeifertData | None
-    eta: Fraction | None
-    eta_integral: bool
-    note: str
+    __slots__ = ("name", "holonomy", "seifert", "eta", "eta_integral", "note")
+
+    def __init__(self, name: str, holonomy: str, seifert: SeifertData | None,
+                 eta: Fraction | None, eta_integral: bool, note: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "holonomy", holonomy)
+        object.__setattr__(self, "seifert", seifert)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta_integral", eta_integral)
+        object.__setattr__(self, "note", note)
 
 
 # Seifert presentations with orientable base; coefficients chosen so the

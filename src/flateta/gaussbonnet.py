@@ -8,12 +8,12 @@ coefficient of pi^2; every verdict and rendered digit is worked out on integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import AmbiguousToleranceError, DomainError, NoLatticePointError, digit_limit, shown
+from .errors import (AmbiguousToleranceError, DomainError, NoLatticePointError, Value, digit_limit,
+                     shown)
 
 LATTICE_COEFFICIENT = Fraction(4, 3)  # one unit of Euler characteristic is (4/3)*pi^2 of volume
 TOLERANCE = Fraction(1, 10**6)  # the default of chi_from_volume and of --tol
@@ -46,14 +46,16 @@ def _certain(at):
     return found[0]
 
 
-@dataclass(frozen=True)
-class VolumeValue:
+class VolumeValue(Value):
     """A volume ``coefficient * pi^2`` and its text ``approx``, correctly rounded
     to max(12, k + 6) significant digits, k those before the point: within
     5e-7 of the volume, so chi_from_volume reads it back by default."""
 
-    coefficient: Fraction
-    approx: str
+    __slots__ = ("coefficient", "approx")
+
+    def __init__(self, coefficient: Fraction, approx: str):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "approx", approx)
 
 
 def volume_from_chi(chi: int) -> VolumeValue:

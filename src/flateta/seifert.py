@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DescriptorSyntaxError, DomainError, ValidationError, digit_limit, shown
+from .errors import DescriptorSyntaxError, DomainError, ValidationError, Value, digit_limit, shown
 
 
 class BaseSurface(enum.Enum):
@@ -28,17 +27,18 @@ class BaseSurface(enum.Enum):
 _GENUS = {BaseSurface.S2: 0, BaseSurface.T2: 1}
 
 
-@dataclass(frozen=True)
-class FiberPair:
+class FiberPair(Value):
     """Exceptional fiber invariants: multiplicity alpha >= 2 and Seifert
     coefficient beta, coprime to alpha (beta may be negative)."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Value):
     """Seifert invariants (base, b, (alpha_1, beta_1), ...).
 
     ``genus`` is read off the base (0 for S2, 1 for T2); fibers may be
@@ -47,25 +47,22 @@ class SeifertData:
     ValidationError naming the field, so every instance is valid.
     """
 
-    base: BaseSurface
-    b: int = 0
-    fibers: tuple[FiberPair, ...] = ()
+    __slots__ = ("base", "b", "fibers")
 
-    def __post_init__(self):
-        if not isinstance(self.base, BaseSurface):
+    def __init__(self, base: BaseSurface, b: int = 0, fibers: tuple[FiberPair, ...] = ()):
+        if not isinstance(base, BaseSurface):
             # asked first: BaseSurface() reprs a refused value, and a caller's __eq__ may raise
-            if type(self.base) is not str or self.base not in ("S2", "T2"):
-                raise ValidationError(f"base must be 'S2' or 'T2', got {shown(self.base)}")
-            object.__setattr__(self, "base", BaseSurface(self.base))
+            if type(base) is not str or base not in ("S2", "T2"):
+                raise ValidationError(f"base must be 'S2' or 'T2', got {shown(base)}")
+            base = BaseSurface(base)
         try:
-            fibers = tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in self.fibers)
+            pairs = tuple(f if isinstance(f, FiberPair) else FiberPair(*f) for f in fibers)
         except TypeError:
             raise ValidationError("fibers must be (alpha, beta) pairs, "
-                                  f"got {shown(self.fibers)}") from None
-        object.__setattr__(self, "fibers", fibers)
-        if type(self.b) is not int:  # not bool: True renders as 'True'
-            raise ValidationError(f"b must be an int, got {shown(self.b)}")
-        for i, fiber in enumerate(fibers):
+                                  f"got {shown(fibers)}") from None
+        if type(b) is not int:  # not bool: True renders as 'True'
+            raise ValidationError(f"b must be an int, got {shown(b)}")
+        for i, fiber in enumerate(pairs):
             for name, value in (("alpha", fiber.alpha), ("beta", fiber.beta)):
                 if type(value) is not int:
                     raise ValidationError(f"fibers[{i}]: {name} must be an int, got {shown(value)}")
@@ -74,6 +71,9 @@ class SeifertData:
             if gcd(fiber.alpha, fiber.beta) != 1:
                 raise ValidationError(f"fibers[{i}]: gcd({shown(fiber.alpha)},"
                                       f"{shown(fiber.beta)}) != 1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "fibers", pairs)
 
     @property
     def genus(self) -> int:

@@ -1,5 +1,5 @@
-"""Shared test helpers: a bounded-time call, and numeric embeddings of
-cyclotomic elements for cross-checks.
+"""Shared test helpers: a bounded-time call, the check of a value class's
+protocol, and numeric embeddings of cyclotomic elements for cross-checks.
 
 The library itself never produces floating-point values; the embeddings
 evaluate an element's coefficient vector at a numerical root of unity so
@@ -7,10 +7,13 @@ tests can compare exact results against independent float computations.
 """
 
 import cmath
+import copy
+import pickle
 import threading
 import time
 
 import mpmath
+import pytest
 
 
 def within(seconds, call):
@@ -39,6 +42,32 @@ def within(seconds, call):
     if returned:
         return value
     raise value
+
+
+def check_value_protocol(value, fields: dict, text: str):
+    """Fails unless value, an instance of one of the package's frozen value
+    classes with the given fields (in declaration order), behaves as a
+    value: its repr is text; it equals and hashes as an instance built from
+    the fields, and hashes as their tuple; it differs from that tuple and
+    from an instance of another class (a subclass) with the same fields; it
+    refuses assignment and deletion of each field; and pickle, copy.copy
+    and copy.deepcopy give an equal instance of its class."""
+    cls, values = type(value), tuple(fields.values())
+    assert repr(value) == text
+    twin = cls(**fields)
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value) == hash(values)
+    other = type("Other", (cls,), {})(**fields)
+    for stranger in (values, other):
+        assert value != stranger and stranger != value and not value == stranger
+    for name, field in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == field
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value
 
 
 def embed_complex(elem) -> complex:

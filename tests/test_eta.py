@@ -30,7 +30,8 @@ from flateta import (
 )
 from flateta.cli import run
 from flateta.errors import digit_limit
-from helpers import within
+from flateta.eta import CatalogEntry, EtaResult, ObstructionReport
+from helpers import check_value_protocol, within
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -270,13 +271,11 @@ def test_many_distinct_fibers_are_refused_promptly():
     with pytest.raises(NotFlatError) as refused:
         within(0.5, lambda: eta_flat(data))
     e, chi_orb = euler_number(data), orbifold_euler_characteristic(data)
-    try:  # the exact text where int's str limit allows it, else the bit lengths
-        expected = f"not flat: e = {e}, chi_orb = {chi_orb}"
-    except ValueError:
-        parts = e.numerator, e.denominator, -chi_orb.numerator, chi_orb.denominator
-        expected = "not flat: e = {}/{}, chi_orb = -{}/{}".format(
-            *(f"<int of {n.bit_length()} bits>" for n in parts)
-        )
+    parts = e.numerator, e.denominator, -chi_orb.numerator, chi_orb.denominator
+    # each part in digits up to digit_limit() of them, else by its bit length, at any limit
+    expected = "not flat: e = {}/{}, chi_orb = -{}/{}".format(
+        *(n if n < 10 ** digit_limit() else f"<int of {n.bit_length()} bits>" for n in parts)
+    )
     assert str(refused.value) == expected
 
 
@@ -330,3 +329,40 @@ class TestObstructionReport:
             assert (report.predicted_signature is not None) == report.eta.integral
             if report.predicted_signature is not None:
                 assert report.predicted_signature == -report.eta.value
+
+
+G5_ETA = EtaResult(Fraction(-4, 3), False, ((FiberPair(2, 1), Fraction(0)),
+                                            (FiberPair(3, -1), Fraction(-1, 18)),
+                                            (FiberPair(6, -1), Fraction(-5, 18))))
+TORUS_ETA = EtaResult(Fraction(0), True, ())
+G1_NOTE = "3-torus: circle bundle over T2, no exceptional fibers."
+VALUES = {
+    "eta_result": (
+        eta_flat(G5_DATA),
+        {"value": Fraction(-4, 3), "integral": False,
+         "fiber_contributions": G5_ETA.fiber_contributions},
+        "EtaResult(value=Fraction(-4, 3), integral=False, fiber_contributions=("
+        "(FiberPair(alpha=2, beta=1), Fraction(0, 1)), (FiberPair(alpha=3, beta=-1), "
+        "Fraction(-1, 18)), (FiberPair(alpha=6, beta=-1), Fraction(-5, 18))))",
+    ),
+    "obstruction_report": (
+        obstruction_report(TORUS),
+        {"eta": TORUS_ETA, "geodesic_boundary_obstructed": False,
+         "one_cusped_cross_section_obstructed": False, "predicted_signature": 0},
+        "ObstructionReport(eta=EtaResult(value=Fraction(0, 1), integral=True, "
+        "fiber_contributions=()), geodesic_boundary_obstructed=False, "
+        "one_cusped_cross_section_obstructed=False, predicted_signature=0)",
+    ),
+    "catalog_entry": (
+        flat_catalog()[0],
+        {"name": "G1", "holonomy": "trivial", "seifert": TORUS, "eta": Fraction(0),
+         "eta_integral": True, "note": G1_NOTE},
+        "CatalogEntry(name='G1', holonomy='trivial', seifert=SeifertData(base=<BaseSurface.T2: "
+        f"'T2'>, b=0, fibers=()), eta=Fraction(0, 1), eta_integral=True, note={G1_NOTE!r})",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALUES.values(), ids=VALUES.keys())
+def test_value_protocol(case):
+    check_value_protocol(*case)

@@ -20,7 +20,7 @@ from flateta import (
     volume_from_chi,
 )
 from flateta.errors import digit_limit
-from helpers import within
+from helpers import check_value_protocol, within
 
 # decimal digits past what the library reads: at least 5000, and past the
 # limit in force (or CPython's default one when the limit is off)
@@ -193,3 +193,11 @@ class TestDoubledEuler:
     @given(a=st.integers(-10**9, 10**9), b=st.integers(-10**9, 10**9))
     def test_linear(self, a, b):
         assert doubled_euler(a + b) == doubled_euler(a) + doubled_euler(b)
+
+
+def test_volume_value_protocol():
+    check_value_protocol(
+        volume_from_chi(1),
+        {"coefficient": Fraction(4, 3), "approx": "13.1594725348"},
+        "VolumeValue(coefficient=Fraction(4, 3), approx='13.1594725348')",
+    )

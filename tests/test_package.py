@@ -12,7 +12,7 @@ import pytest
 
 import flateta
 from flateta import DomainError, FlatEtaError, SeifertData, ValidationError
-from flateta.errors import shown
+from flateta.errors import digit_limit, shown
 from helpers import within
 
 
@@ -67,6 +67,13 @@ def test_cli_import_leaves_cyclotomic_unloaded():
     assert _loaded_by("import flateta.cli", names) == "['flateta.cli']\n"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the value classes are slotted classes of their own, and dataclasses
+    # would bring inspect, ast and dis with it
+    names = ["flateta.cli", "dataclasses", "inspect", "ast", "dis"]
+    assert _loaded_by("import flateta.cli", names) == "['flateta.cli']\n"
+
+
 def test_lazy_names_are_their_modules_objects():
     for name, module in flateta._LAZY.items():
         home = importlib.import_module(f"flateta.{module}")
@@ -98,10 +105,13 @@ def test_shown_cuts_long_text_only():
 # formatted an int past Python's int-to-str digit limit (4300 digits by
 # default) and raised a bare ValueError, and cyclotomic_polynomial([])
 # raised TypeError: unhashable type from its cache.  (call, error class,
-# text the message holds)  H has 5001 digits: past the limit in force unless
-# the limit is above 5000 or off (0), and only then shown by its bit length.
+# text the message holds)  H has 5001 digits: past digit_limit() unless the
+# limit is above 5000, and only then shown by its bit length, at any limit
+# (the default one when the limit is off).  HUGE has 400,001 digits, which
+# str() would take seconds to write with the limit off.
 H = 10**5000
-H_PAST_LIMIT = 0 < sys.get_int_max_str_digits() <= 5000
+H_PAST_LIMIT = digit_limit() <= 5000
+HUGE = 10**400000
 HOSTILE_CALLS = {
     "polynomial_float_order": (lambda: flateta.cyclotomic_polynomial(2.5), DomainError, "order"),
     "polynomial_str_order": (lambda: flateta.cyclotomic_polynomial("12"), DomainError, "order"),
@@ -168,6 +178,12 @@ HOSTILE_CALLS = {
         lambda: SeifertData("S2", 0, ((2 * H, 2),)), ValidationError, "bits>"
     ),
     "polynomial_list_order": (lambda: flateta.cyclotomic_polynomial([]), DomainError, "order"),
+    "digit_limit_huge_alpha": (lambda: flateta.dedekind_cot(1, HUGE), DomainError, "bits>"),
+    "digit_limit_huge_fraction": (
+        lambda: flateta.predicted_signature(Fraction(HUGE + 1, HUGE)),
+        flateta.ObstructionError,
+        "bits>",
+    ),
 }
 
 

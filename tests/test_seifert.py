@@ -1,6 +1,6 @@
 """Seifert data validation, flatness, and the flat-manifold catalog."""
 
-import dataclasses
+import pickle
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -25,6 +25,7 @@ from flateta import (
     validate,
 )
 from flateta.errors import digit_limit
+from helpers import check_value_protocol
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
 G3_DATA = SeifertData(BaseSurface.S2, 0, ((3, 2), (3, -1), (3, -1)))
@@ -71,6 +72,23 @@ class TestValidate:
             SeifertData(*args)
 
 
+G5_FIBERS = (FiberPair(2, 1), FiberPair(3, -1), FiberPair(6, -1))
+VALUES = {
+    "fiber_pair": (FiberPair(2, 1), {"alpha": 2, "beta": 1}, "FiberPair(alpha=2, beta=1)"),
+    "seifert_data": (
+        G5_DATA,
+        {"base": BaseSurface.S2, "b": 0, "fibers": G5_FIBERS},
+        "SeifertData(base=<BaseSurface.S2: 'S2'>, b=0, fibers=(FiberPair(alpha=2, beta=1), "
+        "FiberPair(alpha=3, beta=-1), FiberPair(alpha=6, beta=-1)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALUES.values(), ids=VALUES.keys())
+def test_value_protocol(case):
+    check_value_protocol(*case)
+
+
 # Each structural invariant, broken in one field: (field, value, message).
 INVALID_FIELDS = {
     "b_float": ("b", 0.5, r"^b must be an int, got 0\.5$"),
@@ -88,14 +106,34 @@ INVALID_FIELDS = {
 }
 
 
+class _Tampered:
+    """Pickles as SeifertData's own reduction of G5_DATA with one field replaced."""
+
+    def __init__(self, field, value):
+        cls, args = G5_DATA.__reduce__()
+        self.reduced = cls, tuple(value if name == field else arg
+                                  for name, arg in zip(("base", "b", "fibers"), args))
+
+    def __reduce__(self):
+        return self.reduced
+
+
 @pytest.mark.parametrize("case", INVALID_FIELDS.values(), ids=INVALID_FIELDS.keys())
 def test_invalid_field_is_refused_at_construction_and_replace(case):
     field, value, message = case
     fields = {"base": BaseSurface.S2, "b": 0, "fibers": ((2, 1), (3, -1), (6, -1)), field: value}
     with pytest.raises(ValidationError, match=message):
         SeifertData(**fields)
+    # a valid instance cannot take the value: the field is neither set nor
+    # deleted in place, and pickled data is read back through the constructor
+    before = getattr(G5_DATA, field)
+    with pytest.raises(AttributeError):
+        setattr(G5_DATA, field, value)
+    with pytest.raises(AttributeError):
+        delattr(G5_DATA, field)
+    assert getattr(G5_DATA, field) is before
     with pytest.raises(ValidationError, match=message):
-        dataclasses.replace(G5_DATA, **{field: value})
+        pickle.loads(pickle.dumps(_Tampered(field, value)))
 
 
 LIMIT = digit_limit()

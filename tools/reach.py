@@ -22,7 +22,9 @@ functions that only that last entry, the benchmark's staging, enters
 the lines never run.  It exits 1 when a function that is never entered
 is not in ``ALLOWLIST``, or when an entry there names a function all of
 whose code ran: each entry is code that only tests reach, kept for the
-oracle test it names.  Line numbers follow the interpreter's line
+test it names (an oracle, or the value protocol of the package's value
+classes, which no production entry compares, hashes, reprs, copies or
+assigns to).  Line numbers follow the interpreter's line
 table, so a report is read against the CPython that wrote it.  A run
 takes about 4 s (CPython 3.11, x86-64); the report goes to stdout and
 each failure to stderr:
@@ -46,13 +48,19 @@ ALPHA_MAX = 60
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 CO_OPTIMIZED = 0x1  # set on functions and comprehensions, not on module or class bodies
 
-# module.qualname -> the code only tests reach, and the test that is its oracle
+# module.qualname -> the code only tests reach, and the test that checks it
 ALLOWLIST = {
     "dedekind.sawtooth": "the sawtooth ((x)) itself; "
     "tests/test_dedekind.py::TestSawtoothSum::test_matches_its_literal_definition",
     "gaussbonnet.doubled_euler": "a paper identity; tests/test_gaussbonnet.py::TestDoubledEuler",
     "cli.main": "the console script; "
     "tests/test_cli.py::TestCliContract::test_console_script_writing_to_a_full_device",
+    "errors.Value._frozen": "assignment and deletion refused; "
+    "tests/test_seifert.py::test_invalid_field_is_refused_at_construction_and_replace",
+    "errors.Value.__eq__": "the value protocol; tests/test_seifert.py::test_value_protocol",
+    "errors.Value.__hash__": "the value protocol; tests/test_seifert.py::test_value_protocol",
+    "errors.Value.__repr__": "the value protocol; tests/test_seifert.py::test_value_protocol",
+    "errors.Value.__reduce__": "pickle and copy; tests/test_seifert.py::test_value_protocol",
 }
 
 

@@ -6,14 +6,16 @@ For every REV, unpacks that commit's ``src/`` and ``perfbench/`` with
 seeds 1 to 10 on every workload of ``BENCHMARK.json`` with ``--trace 0``,
 then one ``--trace 1`` run per workload on seed 1, the commits
 alternating run by run so that drift of the machine falls on all of them
-alike.  Writes ``BENCH_<shortsha>.json`` at the
-repository root in the layout of ``perfbench/trajectory/seed.json``:
-median, quartiles (``statistics.quantiles``, n=4), spread
-((q3 - q1)/median) and bound of every end-to-end metric, each run's
-figures, and the per-layer metrics of the traced run.  A run that did
-not finish, or finished with failed operations, is kept with its error
-or its counts and left out of the summaries; its commit's harness is not
-patched.  Only the standard library is used:
+alike: in the order given on odd seeds and in the reverse order on even
+seeds, so that each commit runs first in half of the pairs and an effect
+of running first or second falls on both sides.  Writes
+``BENCH_<shortsha>.json`` at the repository root in the layout of
+``perfbench/trajectory/seed.json``: median, quartiles
+(``statistics.quantiles``, n=4), spread ((q3 - q1)/median) and bound of
+every end-to-end metric, each run's figures, and the per-layer metrics
+of the traced run.  A run that did not finish, or finished with failed
+operations, is kept with its error or its counts and left out of the
+summaries; its commit's harness is not patched.  Only the standard library is used:
 
     python3 tools/trajectory.py HEAD~1 HEAD
 
@@ -116,7 +118,7 @@ def main() -> int:
         for trace, seeds in ((0, SEEDS), (1, [TRACE_SEED])):
             for seed in seeds:
                 for workload in workloads:
-                    for rev, tree in trees.items():
+                    for rev, tree in list(trees.items())[::1 if seed % 2 else -1]:
                         run = _run(tree, workload, seed, seconds, trace)
                         print(f"{shas[rev]} {workload} seed {seed} trace {trace}: "
                               f"{run.get('error') or run['metrics'].get('throughput_ops_s')}",
@@ -136,8 +138,8 @@ def main() -> int:
             "run_seconds": seconds,
             "note": "medians, quartiles and spread ((q3-q1)/median, statistics.quantiles n=4) "
                     "of the seeds' --trace 0 runs, written by tools/trajectory.py; commits "
-                    "alternated run by run; timings are best-of-passes times scaled to the "
-                    "reference speed, see perfbench/README.md",
+                    "alternated run by run, the order reversed on even seeds; timings are "
+                    "best-of-passes times scaled to the reference speed, see perfbench/README.md",
             "end_to_end": {
                 w: {"summary": _summary(r["runs"], bench["end_to_end"]), "runs": r["runs"]}
                 for w, r in results[rev].items()
