@@ -13,6 +13,7 @@ import flateta.eta as eta_module
 import flateta.seifert as seifert
 from flateta import (
     BaseSurface,
+    EtaResult,
     FiberPair,
     NotFlatError,
     ObstructionError,
@@ -30,7 +31,6 @@ from flateta import (
 )
 from flateta.cli import run
 from flateta.errors import digit_limit
-from flateta.eta import CatalogEntry, EtaResult, ObstructionReport
 from helpers import check_value_protocol, within
 
 G5_DATA = SeifertData(BaseSurface.S2, 0, ((2, 1), (3, -1), (6, -1)))
@@ -331,23 +331,22 @@ class TestObstructionReport:
                 assert report.predicted_signature == -report.eta.value
 
 
-G5_ETA = EtaResult(Fraction(-4, 3), False, ((FiberPair(2, 1), Fraction(0)),
-                                            (FiberPair(3, -1), Fraction(-1, 18)),
-                                            (FiberPair(6, -1), Fraction(-5, 18))))
-TORUS_ETA = EtaResult(Fraction(0), True, ())
 G1_NOTE = "3-torus: circle bundle over T2, no exceptional fibers."
 VALUES = {
     "eta_result": (
         eta_flat(G5_DATA),
-        {"value": Fraction(-4, 3), "integral": False,
-         "fiber_contributions": G5_ETA.fiber_contributions},
+        {"value": Fraction(-4, 3), "integral": False, "fiber_contributions": (
+            (FiberPair(2, 1), Fraction(0)),
+            (FiberPair(3, -1), Fraction(-1, 18)),
+            (FiberPair(6, -1), Fraction(-5, 18)),
+        )},
         "EtaResult(value=Fraction(-4, 3), integral=False, fiber_contributions=("
         "(FiberPair(alpha=2, beta=1), Fraction(0, 1)), (FiberPair(alpha=3, beta=-1), "
         "Fraction(-1, 18)), (FiberPair(alpha=6, beta=-1), Fraction(-5, 18))))",
     ),
     "obstruction_report": (
         obstruction_report(TORUS),
-        {"eta": TORUS_ETA, "geodesic_boundary_obstructed": False,
+        {"eta": EtaResult(Fraction(0), True, ()), "geodesic_boundary_obstructed": False,
          "one_cusped_cross_section_obstructed": False, "predicted_signature": 0},
         "ObstructionReport(eta=EtaResult(value=Fraction(0, 1), integral=True, "
         "fiber_contributions=()), geodesic_boundary_obstructed=False, "
