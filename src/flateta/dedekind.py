@@ -166,18 +166,24 @@ def dedekind_cot(beta: int, alpha: int) -> Fraction:
     return _reciprocity(beta % alpha, alpha)
 
 
-def _continued_fraction(b: int, alpha: int) -> tuple[int, bool, int]:
-    """For 0 <= b < alpha coprime, b/alpha = [0; a_1, ..., a_n]: the
-    alternating sum a_1 - a_2 + ... +- a_n, whether n is odd, and the
-    inverse of b mod alpha, since b*q_(n-1) = (-1)^(n-1) mod alpha for
-    q_k the convergents' denominators (q_n = alpha)."""
+def _continued_fraction(b: int, alpha: int) -> int:
+    """12*alpha*s(b, alpha) for 0 <= b < alpha coprime, by the
+    Barkan-Hickerson-Knuth form (the module docstring) from the Euclid
+    loop on (alpha, b): b/alpha = [0; a_1, ..., a_n], and the inverse of
+    b mod alpha is q_(n-1) for n odd, alpha - q_(n-1) for n even, since
+    b*q_(n-1) = (-1)^(n-1) mod alpha for q_k the convergents'
+    denominators (q_n = alpha)."""
     x, y, total, odd, previous, current = alpha, b, 0, False, 0, 1
     while y:
-        a, r = divmod(x, y)
-        x, y, total, odd = y, r, a - total, not odd
+        # a floor division and a multiply-subtract: cheaper than a divmod
+        # call and its tuple on word-size ints
+        a = x // y
+        x, y = y, x - a * y
+        total = a - total
+        odd = not odd
         previous, current = current, a * current + previous
-    # total is a_n - a_(n-1) + ... +- a_1
-    return (total, True, previous) if odd else (-total, False, alpha - previous)
+    # total is a_n - a_(n-1) + ... +- a_1, previous is q_(n-1)
+    return alpha * (total - 3) + b + previous if odd else b - alpha * total - previous
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -199,8 +205,7 @@ def _jacobi(a: int, n: int) -> int:
 def _reciprocity(b: int, alpha: int) -> Fraction:
     """s(b, alpha) for 0 <= b < alpha coprime, by the Barkan-Hickerson-Knuth
     form, certified (the module docstring); any alpha >= 1."""
-    total, odd, inverse = _continued_fraction(b, alpha)
-    twelve = alpha * (total - 3 if odd else total - 1) + b + inverse
+    twelve = _continued_fraction(b, alpha)
     if alpha & 1:
         eight = alpha + 1 - 2 * _jacobi(b, alpha)
     else:  # b is odd

@@ -302,11 +302,25 @@ def _answer(beta, alpha):
     return _reciprocity(beta, alpha) if alpha > COT_ALPHA_MAX else dedekind_cot(beta, alpha)
 
 
+def _bhk_twelve(b, alpha, moved=0):
+    """12*alpha*s(b, alpha) from the Euclid loop's divmod form, its 3-tuple
+    (A, n odd, b^-1), and the Barkan-Hickerson-Knuth formula; the first
+    quotient moved by ``moved``, the remainders kept.  The reference for
+    dedekind._continued_fraction."""
+    x, y, total, odd, previous, current = alpha, b, 0, False, 0, 1
+    while y:
+        a, r = divmod(x, y)
+        a, moved = a + moved, 0
+        x, y, total, odd = y, r, a - total, not odd
+        previous, current = current, a * current + previous
+    total, odd, inverse = (total, True, previous) if odd else (-total, False, alpha - previous)
+    return alpha * (total - 3 if odd else total - 1) + b + inverse
+
+
 @pytest.mark.parametrize("beta, alpha", CORRUPTED_PAIRS)
 @pytest.mark.parametrize(
     "change",
-    [lambda total, odd, inverse: (total + 1, odd, inverse),
-     lambda total, odd, inverse: (total, odd, inverse + 1)],
+    [lambda twelve, alpha: twelve + alpha, lambda twelve, alpha: twelve + 1],
     ids=["alternating_sum", "inverse"],
 )
 def test_corrupted_loop_fails_certification(monkeypatch, beta, alpha, change):
@@ -314,7 +328,7 @@ def test_corrupted_loop_fails_certification(monkeypatch, beta, alpha, change):
     # mod-8 congruence sees; the inverse moved by one moves it by 1, which
     # the mod-alpha congruence sees
     loop = dedekind._continued_fraction
-    monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha: change(*loop(b, alpha)))
+    monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha: change(loop(b, alpha), alpha))
     dedekind._reciprocity.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="internal error.*failed certification"):
@@ -327,15 +341,10 @@ def test_corrupted_loop_fails_certification(monkeypatch, beta, alpha, change):
 def test_moved_partial_quotient_fails_certification(monkeypatch, beta, alpha):
     # the loop's own first quotient off by one, its remainders kept: the
     # alternating sum and every convergent after it move together
-    real = divmod
-
-    def first_quotient_moved(x, y):
-        quotient, rest = real(x, y)
-        if x == alpha:
-            quotient += 1
-        return quotient, rest
-
-    monkeypatch.setattr(dedekind, "divmod", first_quotient_moved, raising=False)
+    assert _bhk_twelve(beta, alpha) == dedekind._continued_fraction(beta, alpha)
+    assert _bhk_twelve(beta, alpha, moved=1) != _bhk_twelve(beta, alpha)
+    monkeypatch.setattr(dedekind, "_continued_fraction",
+                        lambda b, alpha: _bhk_twelve(b, alpha, moved=1))
     dedekind._reciprocity.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="internal error.*failed certification"):
@@ -400,6 +409,11 @@ class TestReciprocityBeyondTheCeiling:
         b, alpha = pair
         law = Fraction(alpha * alpha + b * b + 1, 12 * alpha * b) - Fraction(1, 4)
         assert _reciprocity(b, alpha) + _reciprocity(alpha % b, b) == law
+
+    @given(pair=_residue_pair())
+    @settings(deadline=None)
+    def test_loop_matches_the_divmod_reference(self, pair):
+        assert dedekind._continued_fraction(*pair) == _bhk_twelve(*pair)
 
     @given(pair=_residue_pair(st.integers(1, SAWTOOTH_ALPHA_MAX)))
     @settings(max_examples=50, deadline=None)

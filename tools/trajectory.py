@@ -4,7 +4,7 @@ For every REV, unpacks that commit's ``src/`` and ``perfbench/`` with
 ``git archive`` into a temporary directory and runs its
 ``perfbench/run.py`` there for ``BENCHMARK.json``'s ``run_seconds``:
 seeds 1 to 10 on every workload of ``BENCHMARK.json`` with ``--trace 0``,
-then one ``--trace 1`` run per workload on seed 1, the commits
+then one ``--trace 1`` run per workload on each of seeds 1 and 2, the commits
 alternating run by run so that drift of the machine falls on all of them
 alike: in the order given on odd seeds and in the reverse order on even
 seeds, so that each commit runs first in half of the pairs and an effect
@@ -13,13 +13,16 @@ of running first or second falls on both sides.  Writes
 ``perfbench/trajectory/seed.json``: median, quartiles
 (``statistics.quantiles``, n=4), spread ((q3 - q1)/median) and bound of
 every end-to-end metric, each run's figures, and the per-layer metrics
-of the traced run.  A run that did not finish, or finished with failed
-operations, is kept with its error or its counts and left out of the
-summaries; its commit's harness is not patched.  Only the standard library is used:
+of the two traced runs, one block per seed, so that each commit's trace
+is taken once first and once second.  A run that did not finish, or
+finished with failed operations, is kept with its error or its counts
+and left out of the summaries; its commit's harness is not patched.
+Only the standard library is used:
 
     python3 tools/trajectory.py HEAD~1 HEAD
 
-Ten seeds at 45 s take about 18 minutes per commit.
+Ten seeds and two traces at 45 s on the two workloads take about 20 minutes
+per commit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(1, 11))
-TRACE_SEED = 1
+TRACE_SEEDS = [1, 2]
 
 
 def _git(*args: str) -> str:
@@ -112,10 +115,10 @@ def main() -> int:
     # resolved once, so a commit made while the runs go on changes no label
     shas = {rev: _git("rev-parse", "--short=7", rev) for rev in options.revs}
     subjects = {rev: _git("log", "-1", "--format=%s", sha) for rev, sha in shas.items()}
-    results = {rev: {w: {"runs": [], "trace": None} for w in workloads} for rev in shas}
+    results = {rev: {w: {"runs": [], "traces": {}} for w in workloads} for rev in shas}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {rev: _unpack(sha, Path(tmp) / sha) for rev, sha in shas.items()}
-        for trace, seeds in ((0, SEEDS), (1, [TRACE_SEED])):
+        for trace, seeds in ((0, SEEDS), (1, TRACE_SEEDS)):
             for seed in seeds:
                 for workload in workloads:
                     for rev, tree in list(trees.items())[::1 if seed % 2 else -1]:
@@ -125,7 +128,7 @@ def main() -> int:
                               file=sys.stderr, flush=True)
                         slot = results[rev][workload]
                         if trace:
-                            slot["trace"] = run
+                            slot["traces"][seed] = run
                         else:
                             slot["runs"].append(run)
     for rev, sha in shas.items():
@@ -138,16 +141,18 @@ def main() -> int:
             "run_seconds": seconds,
             "note": "medians, quartiles and spread ((q3-q1)/median, statistics.quantiles n=4) "
                     "of the seeds' --trace 0 runs, written by tools/trajectory.py; commits "
-                    "alternated run by run, the order reversed on even seeds; timings are "
-                    "best-of-passes times scaled to the reference speed, see perfbench/README.md",
+                    "alternated run by run, the order reversed on even seeds; per-layer "
+                    "metrics from one --trace 1 run per seed in TRACE_SEEDS, seed 1 in the "
+                    "given order and seed 2 in the reverse; timings are best-of-passes times "
+                    "scaled to the reference speed, see perfbench/README.md",
             "end_to_end": {
                 w: {"summary": _summary(r["runs"], bench["end_to_end"]), "runs": r["runs"]}
                 for w, r in results[rev].items()
             },
-            f"per_layer_trace_seed{TRACE_SEED}": {
-                w: {k: v for k, v in r["trace"].items() if k not in ("seed", "wall_s")}
+            **{f"per_layer_trace_seed{seed}": {
+                w: {k: v for k, v in r["traces"][seed].items() if k not in ("seed", "wall_s")}
                 for w, r in results[rev].items()
-            },
+            } for seed in TRACE_SEEDS},
         }
         path = ROOT / f"BENCH_{sha}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
