@@ -339,8 +339,9 @@ def test_corrupted_loop_fails_certification(monkeypatch, beta, alpha, change):
 
 @pytest.mark.parametrize("beta, alpha", CORRUPTED_PAIRS)
 def test_moved_partial_quotient_fails_certification(monkeypatch, beta, alpha):
-    # the loop's own first quotient off by one, its remainders kept: the
-    # alternating sum and every convergent after it move together
+    # a faithful copy of the loop with its first quotient off by one, its
+    # remainders kept: the alternating sum and every convergent after it
+    # move together
     assert _bhk_twelve(beta, alpha) == dedekind._continued_fraction(beta, alpha)
     assert _bhk_twelve(beta, alpha, moved=1) != _bhk_twelve(beta, alpha)
     monkeypatch.setattr(dedekind, "_continued_fraction",

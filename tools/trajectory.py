@@ -21,7 +21,7 @@ Only the standard library is used:
 
     python3 tools/trajectory.py HEAD~1 HEAD
 
-Ten seeds and two traces at 45 s on the two workloads take about 20 minutes
+Ten seeds and two traces at 45 s on the two workloads take about 25 minutes
 per commit.
 """
 
