@@ -30,14 +30,13 @@ and check the reduction itself.  Under ``cot_exact`` are two steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
 from .dedekind import COT_ALPHA_MAX, _squarefree
-from .errors import DomainError, PoleError, shown
+from .errors import DomainError, PoleError, Value, shown
 
 # Largest field order N this module builds, checked before any O(N) list
 # is allocated.  It bounds the fields the benchmark's staging and the
@@ -137,8 +136,7 @@ def _reduce_int_mod_phi(vec: list[int], order: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(Value):
     """An exact cotangent value in Q(zeta_N), as returned by ``cot_exact``.
 
     Stored as ``order`` N, an integer ``numerator`` vector over the power
@@ -149,17 +147,20 @@ class CyclotomicElement:
     ``numerator[0] / denominator``, 0 when empty), unique for a given
     order.  ``==`` and ``hash`` compare fields, so they compare the
     values of canonical elements of one order; a value built through the
-    dataclass constructor is taken as given.  ``promoted`` reads a value
-    in its own field, and a rational value in any; ``coefficients`` gives
-    its deg(Phi_N) coefficients.
+    constructor is taken as given.  ``promoted`` reads a value in its own
+    field, and a rational value in any; ``coefficients`` gives its
+    deg(Phi_N) coefficients.
 
     >>> cot_exact(1, 6)
     CyclotomicElement(order=12, numerator=(0, 2, 0, -1), denominator=1)
     """
 
-    order: int
-    numerator: tuple[int, ...]
-    denominator: int
+    __slots__ = ("order", "numerator", "denominator")
+
+    def __init__(self, order: int, numerator: tuple[int, ...], denominator: int):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:

@@ -8,14 +8,16 @@ A refusal shows a value only through ``shown``: a caller's value by its
 repr, a number the library computed by its str, an int of more than
 ``digit_limit()`` digits (alone or as a Fraction's part) by its sign and
 bit length before any formatting, and anything else that cannot be
-formatted as ``<TypeName>``.  Any other text longer than ``SHOWN_MAX``
-characters is cut to that length; an int's or a Fraction's stays whole,
-as ``digit_limit`` bounds it.
-``digit_limit`` bounds the decimal digits of any one number the library
-reads or writes.
+formatted as ``<TypeName>``.  So is a value that holds such an int, with
+the int-to-str limit off as with one in force (``writes_long_int``).
+Any other text longer than ``SHOWN_MAX`` characters is cut to that
+length; an int's or a Fraction's stays whole, as ``digit_limit`` bounds
+it.  ``digit_limit`` bounds the decimal digits of any one number the
+library reads or writes.
 
-``Value`` is the base of the package's value classes (FiberPair,
-SeifertData, EtaResult, ObstructionReport, CatalogEntry, VolumeValue).
+``Value`` is the base of the package's seven value classes (FiberPair,
+SeifertData, EtaResult, ObstructionReport, CatalogEntry, VolumeValue,
+CyclotomicElement), and no module of the package loads ``dataclasses``.
 """
 
 import sys
@@ -77,18 +79,20 @@ SHOWN_MAX = 80
 
 
 def shown(value, form=repr) -> str:
-    """form(value) for a refusal's message, never raising (the rule above)."""
+    """form(value) for a refusal's message, never raising (the rule above).
+    Only the builtin numbers and containers and the package's values are
+    looked into first; any other object's own __repr__ runs at the
+    caller's cost."""
     if type(value) is Fraction:
         num, den = shown(value.numerator), shown(value.denominator)
         return f"Fraction({num}, {den})" if form is repr else f"{num}/{den}".removesuffix("/1")
-    if type(value) is int:
-        limit, size = digit_limit(), abs(value)
-        # 8**limit < 10**limit, so the power is only built for an int past 3*limit bits
-        if size.bit_length() > 3 * limit and size >= 10**limit:
-            return f"{'-' * (value < 0)}<int of {size.bit_length()} bits>"
+    if type(value) is int and _long(value, digit_limit()):
+        return f"{'-' * (value < 0)}<int of {abs(value).bit_length()} bits>"
     try:
+        if writes_long_int(value):  # what str() would refuse at a limit in force
+            return f"<{type(value).__name__}>"
         text = form(value)
-    except Exception:  # a broken __repr__, or an int subclass past the limit
+    except Exception:  # a broken __repr__, or an int past the limit in force
         return f"<{type(value).__name__}>"
     if len(text) <= SHOWN_MAX or type(value) is int:
         return text
@@ -100,6 +104,41 @@ def digit_limit() -> int:
     is off: the most decimal digits text the library reads or writes may
     give one number."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _long(number: int, limit: int) -> bool:
+    """Whether the int has more than limit decimal digits."""
+    size = int.__abs__(number)
+    # 8**limit < 10**limit, so the power is only built for an int past 3*limit bits
+    return size.bit_length() > 3 * limit and size >= 10**limit
+
+
+def writes_long_int(value) -> bool:
+    """Whether the int-to-str limit is off and value, or what it holds at any
+    depth of lists, tuples, sets, frozensets, dicts, Fractions and Values, is
+    an int of more than digit_limit() digits: a value that str() refuses at
+    a limit in force, and with none writes in time quadratic in its digits.
+    False at a limit in force, where str() refuses such a value itself."""
+    if sys.get_int_max_str_digits():
+        return False
+    limit, seen, todo = digit_limit(), set(), [value]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if isinstance(item, int):
+            if _long(item, limit):
+                return True
+        elif id(item) in seen:  # a container met before, or one holding itself
+            continue
+        elif kind in (list, tuple, set, frozenset, dict):
+            seen.add(id(item))
+            todo += [*item, *item.values()] if kind is dict else item
+        elif isinstance(item, Fraction):
+            todo += item.numerator, item.denominator
+        elif isinstance(item, Value):
+            seen.add(id(item))
+            todo += (getattr(item, name, None) for name in kind.__slots__)
+    return False
 
 
 class Value:

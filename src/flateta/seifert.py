@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DescriptorSyntaxError, DomainError, ValidationError, Value, digit_limit, shown
+from .errors import (DescriptorSyntaxError, DomainError, ValidationError, Value, digit_limit, shown,
+                     writes_long_int)
 
 
 class BaseSurface(enum.Enum):
@@ -195,17 +196,16 @@ def render_descriptor(s: SeifertData) -> str:
     An integer of more than digit_limit() digits, which parse_descriptor
     would refuse, is refused here, whether or not str() could write it."""
     validate(s)
-    limit = digit_limit()
-    try:
-        text = "".join([s.base.value, ";", f"b={s.b};" if s.b else "",
-                        *(f"({f.alpha},{f.beta})" for f in s.fibers)])
-    except ValueError:  # an int past the int-to-str limit in force
+    try:  # None exactly when an int is past digit_limit(), the limit in force or not
+        text = None if writes_long_int(s) else "".join(
+            [s.base.value, ";", f"b={s.b};" if s.b else "",
+             *(f"({f.alpha},{f.beta})" for f in s.fibers)])
+    except ValueError:  # str() refused an int past the limit in force
         text = None
-    if text is None or len(text) > limit:  # else no integer is past the limit
+    if text is None:
         named = [("b", s.b)] + [(f"fibers[{i}]: {k}", v) for i, f in enumerate(s.fibers)
                                 for k, v in (("alpha", f.alpha), ("beta", f.beta))]
-        bound = 10**limit
-        name = next((k for k, v in named if abs(v) >= bound), None)
-        if name is not None:
-            raise ValidationError(f"{name} has too many digits to render")
+        bound = 10**digit_limit()
+        name = next(k for k, v in named if abs(v) >= bound)
+        raise ValidationError(f"{name} has too many digits to render")
     return text

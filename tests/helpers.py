@@ -1,18 +1,11 @@
-"""Shared test helpers: a bounded-time call, the check of a value class's
-protocol, and numeric embeddings of cyclotomic elements for cross-checks.
+"""Shared test helpers: a bounded-time call and the check of a value
+class's protocol."""
 
-The library itself never produces floating-point values; the embeddings
-evaluate an element's coefficient vector at a numerical root of unity so
-tests can compare exact results against independent float computations.
-"""
-
-import cmath
 import copy
 import pickle
 import threading
 import time
 
-import mpmath
 import pytest
 
 
@@ -69,19 +62,3 @@ def check_value_protocol(value, fields: dict, text: str):
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(copied) is cls and copied == value
 
-
-def embed_complex(elem) -> complex:
-    """Double-precision value of the element under zeta_N -> e^(2*pi*i/N)."""
-    root = cmath.exp(2j * cmath.pi / elem.order)
-    return sum(complex(c) * root**j for j, c in enumerate(elem.coefficients))
-
-
-def embed_mp(elem, dps: int = 50):
-    """High-precision (mpmath) value of the element."""
-    with mpmath.workdps(dps):
-        root = mpmath.exp(2j * mpmath.pi / elem.order)
-        total = mpmath.mpc(0)
-        for j, c in enumerate(elem.coefficients):
-            if c:
-                total += mpmath.mpf(c.numerator) / c.denominator * root**j
-        return total

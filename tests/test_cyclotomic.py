@@ -19,7 +19,27 @@ from flateta import (
 from flateta.cyclotomic import FIELD_ORDER_MAX, _reduce_int_mod_phi, _reduction
 from flateta.dedekind import COT_ALPHA_MAX
 
-from helpers import embed_complex, embed_mp, within
+from helpers import check_value_protocol, within
+
+
+# The library never produces floating-point values; these evaluate an
+# element's coefficient vector at a numerical root of unity, so that exact
+# results can be compared with independent float computations.
+def embed_complex(elem) -> complex:
+    """Double-precision value of the element under zeta_N -> e^(2*pi*i/N)."""
+    root = cmath.exp(2j * cmath.pi / elem.order)
+    return sum(complex(c) * root**j for j, c in enumerate(elem.coefficients))
+
+
+def embed_mp(elem, dps: int = 50):
+    """High-precision (mpmath) value of the element."""
+    with mpmath.workdps(dps):
+        root = mpmath.exp(2j * mpmath.pi / elem.order)
+        total = mpmath.mpc(0)
+        for j, c in enumerate(elem.coefficients):
+            if c:
+                total += mpmath.mpf(c.numerator) / c.denominator * root**j
+        return total
 
 
 def _poly_mul(a, b):
@@ -204,6 +224,13 @@ class TestCotExact:
     def test_periodic_in_k(self):
         assert cot_exact(1, 6) == cot_exact(7, 6) == cot_exact(-5, 6)
         assert hash(cot_exact(1, 6)) == hash(cot_exact(7, 6))
+
+    def test_value_protocol(self):
+        check_value_protocol(
+            cot_exact(1, 6),
+            {"order": 12, "numerator": (0, 2, 0, -1), "denominator": 1},
+            "CyclotomicElement(order=12, numerator=(0, 2, 0, -1), denominator=1)",
+        )
 
     def test_is_immutable(self):
         value = cot_exact(1, 6)

@@ -67,11 +67,13 @@ def test_cli_import_leaves_cyclotomic_unloaded():
     assert _loaded_by("import flateta.cli", names) == "['flateta.cli']\n"
 
 
-def test_cli_import_loads_no_dataclasses():
+def test_no_module_loads_dataclasses():
     # the value classes are slotted classes of their own, and dataclasses
-    # would bring inspect, ast and dis with it
-    names = ["flateta.cli", "dataclasses", "inspect", "ast", "dis"]
-    assert _loaded_by("import flateta.cli", names) == "['flateta.cli']\n"
+    # would bring inspect, ast and dis with it; the CLI imports every other
+    # module but cyclotomic
+    names = ["flateta.cli", "flateta.cyclotomic", "dataclasses", "inspect", "ast", "dis"]
+    loaded = _loaded_by("import flateta.cli, flateta.cyclotomic", names)
+    assert loaded == "['flateta.cli', 'flateta.cyclotomic']\n"
 
 
 def test_lazy_names_are_their_modules_objects():
@@ -179,6 +181,11 @@ HOSTILE_CALLS = {
     ),
     "polynomial_list_order": (lambda: flateta.cyclotomic_polynomial([]), DomainError, "order"),
     "digit_limit_huge_alpha": (lambda: flateta.dedekind_cot(1, HUGE), DomainError, "bits>"),
+    "digit_limit_render_huge_b": (
+        lambda: flateta.render_descriptor(SeifertData("S2", HUGE)),
+        ValidationError,
+        "b has too many digits",
+    ),
     "digit_limit_huge_fraction": (
         lambda: flateta.predicted_signature(Fraction(HUGE + 1, HUGE)),
         flateta.ObstructionError,
@@ -220,8 +227,9 @@ class _RaisingOperators:
         raise RuntimeError("no float")
 
 
-# One digit past the int-to-str limit in force (1 when there is no limit).
-LONG = 10 ** sys.get_int_max_str_digits()
+# One digit past digit_limit(): past the int-to-str limit in force, or past
+# CPython's default one when there is none.
+LONG = 10 ** digit_limit()
 HOSTILE_VALUES = {
     "broken_repr": _BrokenRepr(),
     "raising_operators": _RaisingOperators(),
@@ -232,6 +240,10 @@ HOSTILE_VALUES = {
     "dict_of_long": {LONG: LONG},
     "fraction_long_denominator": Fraction(1, LONG),
     "fraction_long_numerator": Fraction(LONG, 3),
+    "huge": HUGE,
+    "list_of_huge": [HUGE],
+    "fraction_in_a_tuple": (Fraction(1, HUGE),),
+    "fiber_pair_of_huge": flateta.FiberPair(2, HUGE),
     "none": None,
     "text": "x",
     "nan": float("nan"),
@@ -273,6 +285,6 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("value", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
 def test_every_entry_point_ends_in_a_result_or_a_typed_error(entry, value):
     try:
-        entry(value)
+        within(1, lambda: entry(value))
     except FlatEtaError:
         pass
