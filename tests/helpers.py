@@ -9,13 +9,27 @@ import time
 import pytest
 
 
+# (call, budget, worker) of the last call that overran its budget while its
+# worker thread was still running, or None
+_overrun = None
+
+
 def within(seconds, call):
     """call()'s value, or the exception it raised, re-raised here; fails
     the test unless call ends within seconds of wall-clock time.
 
     call runs on a daemon thread joined with the budget.  A join cannot
     time out while one C call holds the GIL, so the clock is read too.
+    A worker that overran is left running, since a thread cannot be
+    stopped; while it runs, every later call fails at once, so that it
+    does not slow the tests that follow unnoticed.
     """
+    global _overrun
+    if _overrun is not None:
+        earlier, budget, worker = _overrun
+        assert not worker.is_alive(), \
+            f"an earlier call, {earlier!r}, overran its {budget} s budget and is still running"
+        _overrun = None
     outcome = []
 
     def attempt():
@@ -29,7 +43,9 @@ def within(seconds, call):
     worker.start()
     worker.join(seconds)
     elapsed = time.perf_counter() - start
-    assert not worker.is_alive(), f"still running after {seconds} s"
+    if worker.is_alive():
+        _overrun = call, seconds, worker
+        raise AssertionError(f"still running after {seconds} s")
     assert elapsed < seconds, f"took {elapsed:.3f} s, over its {seconds} s budget"
     returned, value = outcome[0]
     if returned:

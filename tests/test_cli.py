@@ -80,6 +80,12 @@ def test_transcript_is_byte_identical(row):
     assert invoke(*row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
 
 
+# an integer past the digit limit in force, or CPython's default one when
+# the limit is off: 5,000 nines (the "9x5000" in test ids), more when the
+# limit is 5,000 or above
+LONG_NINES = "9" * max(5000, digit_limit() + 1)
+
+
 # (text, message, offset) for every message of the descriptor grammar,
 # recorded before the hand-written scanner was replaced by one token pattern
 SYNTAX_ERRORS = [
@@ -98,7 +104,7 @@ SYNTAX_ERRORS = [
     ("S2;b=;", "expected an integer", 5),
     ("S2;(,1)", "expected an integer", 4),
     ("S2;(2,+)", "expected an integer", 6),
-    ("S2;(" + "9" * 5000 + ",1)", "integer has too many digits", 4),
+    ("S2;(" + LONG_NINES + ",1)", "integer has too many digits", 4),
 ]
 
 
@@ -198,9 +204,9 @@ class TestParseDescriptor:
     @pytest.mark.parametrize(
         "text, offset",
         [
-            ("S2;(" + "9" * 5000 + ",1)", 4),
-            ("S2;b=" + "9" * 5000 + ";", 5),
-            ("S2;(2,-" + "9" * 5000 + ")", 6),
+            ("S2;(" + LONG_NINES + ",1)", 4),
+            ("S2;b=" + LONG_NINES + ";", 5),
+            ("S2;(2,-" + LONG_NINES + ")", 6),
             ("S2;(\u00b2,1)", 4),  # str.isdigit accepts it, but it is not ASCII
         ],
         ids=["long_alpha", "long_b", "long_negative_beta", "superscript_digit"],
@@ -588,7 +594,7 @@ class TestEtaCommand:
         assert err == "error: expected '(' (byte 5)\n"
 
     def test_oversized_integer_is_usage_error(self):
-        code, out, err = invoke("eta", "S2;(" + "9" * 5000 + ",1)")
+        code, out, err = invoke("eta", "S2;(" + LONG_NINES + ",1)")
         assert (code, out) == (1, "")
         assert err.startswith("error: integer has too many digits") and err.count("\n") == 1
         assert "byte 4" in err
@@ -867,10 +873,12 @@ class TestCliContract:
         assert len(err) < 200
 
     def test_integer_argument_at_the_digit_limit_is_read(self):
+        # a repunit ends in 1, so it is coprime to 10 at every limit; 7
+        # divides it exactly when 6 divides its length, as at 9,000 digits
         beta = "1" * digit_limit()
-        code, out, err = within(1, lambda: invoke("dedekind", beta, "7", "--quiet"))
+        code, out, err = within(1, lambda: invoke("dedekind", beta, "10", "--quiet"))
         assert (code, err) == (0, "")
-        assert out == invoke("dedekind", str(int(beta) % 7), "7", "--quiet")[1]
+        assert out == invoke("dedekind", str(int(beta) % 10), "10", "--quiet")[1]
 
     @pytest.mark.parametrize("argv", ["eta", [5], ["eta", 5]], ids=["str", "int", "int_arg"])
     def test_argv_that_is_not_a_list_of_str_is_refused(self, argv):

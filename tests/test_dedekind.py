@@ -354,6 +354,24 @@ def test_moved_partial_quotient_fails_certification(monkeypatch, beta, alpha):
         dedekind._reciprocity.cache_clear()
 
 
+@pytest.mark.parametrize("alpha", range(2, 41))
+def test_every_shift_mod_alpha_fails_certification(monkeypatch, alpha):
+    # 12*alpha*s moved by any k not divisible by alpha is no longer
+    # b + b^-1 mod alpha, for every coprime b: the mod-alpha congruence
+    # alone refuses it, whatever the mod-8 one says
+    loop, shift = dedekind._continued_fraction, [0]
+    monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha: loop(b, alpha) + shift[0])
+    try:
+        for b in range(alpha):
+            if gcd(b, alpha) == 1:
+                for shift[0] in range(1, alpha):
+                    dedekind._reciprocity.cache_clear()
+                    with pytest.raises(RuntimeError, match="internal error.*failed certification"):
+                        _reciprocity(b, alpha)
+    finally:
+        dedekind._reciprocity.cache_clear()
+
+
 def _jacobi_by_euler(a, n):
     # (a|n) as the product of Legendre symbols a^((p-1)/2) mod p over the
     # prime factors p of n, with multiplicity
@@ -415,6 +433,21 @@ class TestReciprocityBeyondTheCeiling:
     @settings(deadline=None)
     def test_loop_matches_the_divmod_reference(self, pair):
         assert dedekind._continued_fraction(*pair) == _bhk_twelve(*pair)
+
+    @given(pair=_residue_pair(), offset=st.integers(-10**18, 10**18), in_class=st.booleans())
+    @settings(deadline=None)
+    def test_multiplied_out_congruence_accepts_the_same_totals(self, pair, offset, in_class):
+        # b is a unit mod alpha, so t = b + b^-1 (mod alpha) times b is
+        # b*(t - b) = 1 (mod alpha) and back: the form the certification
+        # checks accepts exactly the totals the inverse form does.  Half
+        # the totals are b + b^-1 moved by a multiple of alpha, which both
+        # accept; the other half are moved by an arbitrary offset
+        b, alpha = pair
+        total = b + pow(b, -1, alpha) + (offset * alpha if in_class else offset)
+        by_inverse = (total - b - pow(b, -1, alpha)) % alpha == 0
+        multiplied_out = (b * (total - b) - 1) % alpha == 0
+        assert by_inverse == multiplied_out
+        assert by_inverse or not in_class
 
     @given(pair=_residue_pair(st.integers(1, SAWTOOTH_ALPHA_MAX)))
     @settings(max_examples=50, deadline=None)

@@ -167,7 +167,7 @@ def test_rendered_text_parses_back_at_any_limit(limit):
         widest = 10 ** digit_limit() - 1
         data = SeifertData(BaseSurface.S2, -widest, ((2, 1), (widest, 1)))
         assert parse_descriptor(render_descriptor(data)) == data
-        for b in (widest + 1, 10**5000):
+        for b in (widest + 1, widest * widest):
             with pytest.raises(ValidationError, match="^b has too many digits to render$"):
                 render_descriptor(SeifertData(BaseSurface.S2, b))
     finally:
