@@ -359,12 +359,12 @@ def test_every_shift_mod_alpha_fails_certification(monkeypatch, alpha):
     # 12*alpha*s moved by any k not divisible by alpha is no longer
     # b + b^-1 mod alpha, for every coprime b: the mod-alpha congruence
     # alone refuses it, whatever the mod-8 one says
-    loop, shift = dedekind._continued_fraction, [0]
-    monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha: loop(b, alpha) + shift[0])
+    loop = dedekind._continued_fraction
     try:
-        for b in range(alpha):
-            if gcd(b, alpha) == 1:
-                for shift[0] in range(1, alpha):
+        for k in range(1, alpha):
+            monkeypatch.setattr(dedekind, "_continued_fraction", lambda b, alpha, k=k: loop(b, alpha) + k)
+            for b in range(alpha):
+                if gcd(b, alpha) == 1:
                     dedekind._reciprocity.cache_clear()
                     with pytest.raises(RuntimeError, match="internal error.*failed certification"):
                         _reciprocity(b, alpha)
@@ -443,8 +443,9 @@ class TestReciprocityBeyondTheCeiling:
         # the totals are b + b^-1 moved by a multiple of alpha, which both
         # accept; the other half are moved by an arbitrary offset
         b, alpha = pair
-        total = b + pow(b, -1, alpha) + (offset * alpha if in_class else offset)
-        by_inverse = (total - b - pow(b, -1, alpha)) % alpha == 0
+        inverse = pow(b, -1, alpha)
+        total = b + inverse + (offset * alpha if in_class else offset)
+        by_inverse = (total - b - inverse) % alpha == 0
         multiplied_out = (b * (total - b) - 1) % alpha == 0
         assert by_inverse == multiplied_out
         assert by_inverse or not in_class
