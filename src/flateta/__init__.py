@@ -10,8 +10,6 @@ other public name imports its module on first use (PEP 562), so a caller
 of dedekind_cot never loads the CLI, JSON or Gauss-Bonnet.
 """
 
-from importlib import import_module
-
 from .dedekind import dedekind_cot, dedekind_sawtooth, sawtooth
 from .errors import (
     AmbiguousToleranceError,
@@ -44,11 +42,11 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    """A lazy name's value, its module imported now; bound here, so the
-    next lookup of the name does not come back."""
+    """A lazy name's value, its module imported now as "from .module import
+    name" imports it; bound here, so the next lookup does not come back."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = globals()[name] = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
     return value
 
 

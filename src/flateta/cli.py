@@ -18,15 +18,13 @@ rationals are serialized as "p/q" strings, never as floats.  The object
 layout is documented in docs/output.schema.json.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from .dedekind import _cot_sum, dedekind_cot, dedekind_sawtooth
 from .errors import (DescriptorSyntaxError, DomainError, ObstructionError, UsageError, digit_limit,
@@ -43,16 +41,11 @@ SCHEMA_VERSION = "1"
 # ---------------------------------------------------------------------------
 
 
-class _Result(NamedTuple):
-    """What a command found: the renderers of its JSON payload (exact
-    values as Fractions), of its --quiet and of its human lines, each
-    called only when that mode is asked for, and an error to report after
-    the output is written (exit 3 for an obstructed ``obstruct``)."""
-
-    payload: Callable[[], dict]
-    quiet: Callable[[], list[str]]
-    human: Callable[[], list[str]]
-    error: ObstructionError | None = None
+# What a command found: the renderers of its JSON payload (exact values
+# as Fractions), of its --quiet and of its human lines, each called only
+# when that mode is asked for, and an error to report after the output is
+# written (exit 3 for an obstructed ``obstruct``).
+_Result = namedtuple("_Result", "payload quiet human error", defaults=(None,))
 
 
 def _eta_payload(data: SeifertData, result: EtaResult) -> dict:
@@ -195,14 +188,9 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-class _Arg(NamedTuple):
-    """A command's argument: a required positional, or a "--" option taking one value."""
-
-    name: str
-    convert: Callable = str
-    help: str = ""
-    default: object = None
-    one_of: bool = False  # exactly one of a command's one_of options is given
+# A command's argument: a required positional, or a "--" option taking one
+# value; exactly one of a command's one_of options is given.
+_Arg = namedtuple("_Arg", "name convert help default one_of", defaults=(str, "", None, False))
 
 
 # Each command's handler, help line and arguments: with _FLAGS, its grammar.

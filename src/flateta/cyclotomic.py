@@ -28,8 +28,6 @@ and check the reduction itself.  Under ``cot_exact`` are two steps:
   per field, in the module's one cache.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm

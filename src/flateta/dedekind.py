@@ -78,8 +78,6 @@ beta + beta^-1 mod alpha, checked as beta*(12*alpha*s - beta) = 1 mod
 alpha; anything else is an internal error.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate

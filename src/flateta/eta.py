@@ -16,8 +16,6 @@ such W must have.  ``flat_catalog`` lists the six orientable flat
 3-manifolds with the eta computed here.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

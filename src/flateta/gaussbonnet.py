@@ -5,8 +5,6 @@ of positive integer multiples of 4*pi^2/3, carried exactly as a rational
 coefficient of pi^2; every verdict and rendered digit is worked out on integers.
 """
 
-from __future__ import annotations
-
 import math
 from decimal import Context, Decimal
 from fractions import Fraction

@@ -8,8 +8,6 @@ geometry exactly when both its Euler number e = -(b + sum beta_i/alpha_i)
 and the orbifold Euler characteristic of the base vanish.
 """
 
-from __future__ import annotations
-
 import enum
 import re
 from fractions import Fraction

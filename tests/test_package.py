@@ -76,6 +76,24 @@ def test_no_module_loads_dataclasses():
     assert loaded == "['flateta.cli', 'flateta.cyclotomic']\n"
 
 
+@pytest.mark.parametrize("module", ["flateta", "flateta.cli"])
+def test_import_adds_no_typing_importlib_or_future(module):
+    # under -S, because site may import any of these itself (a .pth file
+    # that loads typing, say)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    unused = ["typing", "importlib", "__future__"]
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
+             f"print(sorted(set({unused!r}) & (set(sys.modules) - before)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_lazy_names_are_their_modules_objects():
     for name, module in flateta._LAZY.items():
         home = importlib.import_module(f"flateta.{module}")

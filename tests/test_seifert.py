@@ -146,8 +146,10 @@ TOO_LONG = 10**LIMIT + 1  # one digit past what parse_descriptor reads
         (-TOO_LONG, (), "b"),
         (1, ((2, 1), (3, TOO_LONG)), r"fibers\[1\]: beta"),
         (0, ((2 * TOO_LONG, 1),), r"fibers\[0\]: alpha"),
+        # a legal b of LIMIT digits first: the message names the field past the limit
+        (10**LIMIT - 1, ((3, TOO_LONG),), r"fibers\[0\]: beta"),
     ],
-    ids=["b", "beta", "alpha"],
+    ids=["b", "beta", "alpha", "beta_after_the_widest_b"],
 )
 def test_render_refuses_an_integer_past_the_digit_limit(b, fibers, field):
     data = SeifertData(BaseSurface.S2, b, fibers)

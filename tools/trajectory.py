@@ -123,8 +123,11 @@ def main() -> int:
                 for workload in workloads:
                     for rev, tree in list(trees.items())[::1 if seed % 2 else -1]:
                         run = _run(tree, workload, seed, seconds, trace)
-                        print(f"{shas[rev]} {workload} seed {seed} trace {trace}: "
-                              f"{run.get('error') or run['metrics'].get('throughput_ops_s')}",
+                        # a traced run reports no throughput; show its verdict instead
+                        shown = run.get("error") or (
+                            f"correct {run['correct']}, {run['failed']} failed" if trace
+                            else run["metrics"].get("throughput_ops_s"))
+                        print(f"{shas[rev]} {workload} seed {seed} trace {trace}: {shown}",
                               file=sys.stderr, flush=True)
                         slot = results[rev][workload]
                         if trace:
