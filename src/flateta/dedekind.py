@@ -89,14 +89,13 @@ from .errors import DomainError, shown
 
 def sawtooth(x) -> Fraction:
     """The sawtooth ((x)): x - floor(x) - 1/2 for non-integers, 0 at integers.
+    x is an int (not a bool) or a Fraction: never text, a float or a Decimal.
 
     >>> sawtooth(Fraction(7, 3))
     Fraction(-1, 6)
     """
-    try:
-        x = Fraction(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"x must be a rational number, got {shown(x)}") from None
+    if type(x) not in (int, Fraction):
+        raise DomainError(f"x must be an int or a Fraction, got {shown(x)}")
     if x.denominator == 1:
         return Fraction(0)
     floor = x.numerator // x.denominator

@@ -13,7 +13,9 @@ the int-to-str limit off as with one in force (``writes_long_int``).
 Any other text longer than ``SHOWN_MAX`` characters is cut to that
 length; an int's or a Fraction's stays whole, as ``digit_limit`` bounds
 it.  ``digit_limit`` bounds the decimal digits of any one number the
-library reads or writes.
+library reads or writes.  Only ``seifert.parse_descriptor``,
+``gaussbonnet.real`` and the CLI's ``_integer`` read number text, and
+each refuses a number past that bound before building its int.
 
 ``Value`` is the base of the package's seven value classes (FiberPair,
 SeifertData, EtaResult, ObstructionReport, CatalogEntry, VolumeValue,

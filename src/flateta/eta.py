@@ -97,16 +97,15 @@ def predicted_signature(eta) -> int:
     The curvature integral in the signature formula vanishes for
     hyperbolic W (the Pontryagin form is conformally invariant and
     hyperbolic manifolds are conformally flat), so the boundary term is
-    the whole story.
+    the whole story.  eta is an int (not a bool) or a Fraction: never
+    text, a float or a Decimal.
     """
-    try:
-        value = Fraction(eta)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise DomainError(f"eta must be a rational number, got {shown(eta)}") from None
-    if value.denominator != 1:
-        raise ObstructionError(f"eta = {shown(value, str)} is not an integer; "
+    if type(eta) not in (int, Fraction):
+        raise DomainError(f"eta must be an int or a Fraction, got {shown(eta)}")
+    if eta.denominator != 1:
+        raise ObstructionError(f"eta = {shown(eta, str)} is not an integer; "
                                "no geometric filler exists")
-    return -int(value)
+    return -eta.numerator
 
 
 def obstruction_report(s: SeifertData) -> ObstructionReport:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import (DescriptorSyntaxError, DomainError, ValidationError, Value, digit_limit, shown,
-                     writes_long_int)
+from .errors import (DescriptorSyntaxError, DomainError, ValidationError, Value, _long, digit_limit,
+                     shown, writes_long_int)
 
 
 class BaseSurface(enum.Enum):
@@ -203,7 +203,6 @@ def render_descriptor(s: SeifertData) -> str:
     if text is None:
         named = [("b", s.b)] + [(f"fibers[{i}]: {k}", v) for i, f in enumerate(s.fibers)
                                 for k, v in (("alpha", f.alpha), ("beta", f.beta))]
-        bound = 10**digit_limit()
-        name = next(k for k, v in named if abs(v) >= bound)
+        name = next(k for k, v in named if _long(v, digit_limit()))
         raise ValidationError(f"{name} has too many digits to render")
     return text

@@ -5,6 +5,7 @@ import importlib
 import io
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,19 +29,6 @@ def test_all_names_resolve():
     assert set(flateta.__all__) <= set(namespace)
 
 
-def test_import_leaves_argparse_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    probe = "import sys, flateta; print('argparse' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        timeout=60,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
-
-
 def _loaded_by(statement, names):
     """Which of names a fresh interpreter has in sys.modules after statement."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -57,7 +45,7 @@ def _loaded_by(statement, names):
 
 
 def test_import_loads_only_the_dedekind_core():
-    names = ["json", "dataclasses", "inspect", "flateta.cli", "flateta.cyclotomic",
+    names = ["argparse", "json", "dataclasses", "inspect", "flateta.cli", "flateta.cyclotomic",
              "flateta.dedekind", "flateta.errors"]
     assert _loaded_by("import flateta", names) == "['flateta.dedekind', 'flateta.errors']\n"
 
@@ -121,7 +109,8 @@ def test_shown_cuts_long_text_only():
 # ValueError or AttributeError, returned a wrong value (doubled_euler("x")
 # was 'xx'), or never returned (a float order stepped the factor loop of
 # cyclotomic_polynomial forever), or took a bool for an int (dedekind_cot(True, 3)
-# was 1/18).  The digit_limit calls are correctly typed: their messages
+# was 1/18), or read a number that is not an int or a Fraction (sawtooth(0.5)
+# was 0).  The digit_limit calls are correctly typed: their messages
 # formatted an int past Python's int-to-str digit limit (4300 digits by
 # default) and raised a bare ValueError, and cyclotomic_polynomial([])
 # raised TypeError: unhashable type from its cache.  (call, error class,
@@ -160,6 +149,13 @@ HOSTILE_CALLS = {
     "render_none": (lambda: flateta.render_descriptor(None), ValidationError, "SeifertData"),
     "sawtooth_text": (lambda: flateta.sawtooth("x"), DomainError, "x"),
     "sawtooth_nan": (lambda: flateta.sawtooth(float("nan")), DomainError, "x"),
+    "sawtooth_float": (lambda: flateta.sawtooth(0.5), DomainError, "x"),
+    "sawtooth_bool": (lambda: flateta.sawtooth(True), DomainError, "x"),
+    "sawtooth_fraction_text": (lambda: flateta.sawtooth("1/3"), DomainError, "x"),
+    "eta_float": (lambda: flateta.predicted_signature(4.0), DomainError, "eta"),
+    "eta_decimal": (lambda: flateta.predicted_signature(Decimal(4)), DomainError, "eta"),
+    "eta_integer_text": (lambda: flateta.predicted_signature("4"), DomainError, "eta"),
+    "eta_bool": (lambda: flateta.predicted_signature(True), DomainError, "eta"),
     "doubled_euler_text": (lambda: flateta.doubled_euler("x"), DomainError, "chi_w"),
     "doubled_euler_float": (lambda: flateta.doubled_euler(1.5), DomainError, "chi_w"),
     "dedekind_cot_bool_beta": (lambda: flateta.dedekind_cot(True, 3), DomainError, "got True"),
@@ -246,7 +242,10 @@ class _RaisingOperators:
 
 
 # One digit past digit_limit(): past the int-to-str limit in force, or past
-# CPython's default one when there is none.
+# CPython's default one when there is none.  The last three are numbers
+# whose reading takes seconds: Fraction() builds a 16-million-digit int from
+# either 10-character exponent form, and with the limit off reads 1.6
+# million digits in time quadratic in their number.
 LONG = 10 ** digit_limit()
 HOSTILE_VALUES = {
     "broken_repr": _BrokenRepr(),
@@ -266,6 +265,9 @@ HOSTILE_VALUES = {
     "text": "x",
     "nan": float("nan"),
     "bool": True,
+    "exponent_text": "1e16000000",
+    "exponent_decimal": Decimal("1e16000000"),
+    "digits_text": "9" * 1_600_000,
 }
 # Every public call taking an argument, one entry per argument position.
 ENTRY_POINTS = {
